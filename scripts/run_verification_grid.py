@@ -18,14 +18,13 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--count", type=int, default=200,
                         help="random corpus size per suite")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     ok = True
     print(f"{'suite':<28} {'cases':>6} {'passed':>7} {'errata':>7} {'hard':>5} {'secs':>6}")
     suites = [
-        ("grid corrected", lambda: verify_grid("corrected", threads=args.threads)),
-        ("grid as-printed", lambda: verify_grid("as_printed", threads=args.threads)),
+        ("grid corrected", lambda: verify_grid("corrected")),
+        ("grid as-printed", lambda: verify_grid("as_printed")),
         ("random mixed identities",
          lambda: verify_random_suite(count=args.count, seed=args.seed)),
         ("random dense identities",

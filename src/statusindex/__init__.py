@@ -26,13 +26,11 @@ from .families import (
     generate,
 )
 from .graph import (
-    UNREACHABLE,
     DisconnectedGraphError,
     Graph,
     GraphError,
     ParseError,
     TransmissionProfile,
-    bfs_distances,
     complement,
     format_edge_list,
     parse_edge_list,
@@ -54,6 +52,7 @@ from .indices import (
     validate_orbit_partition,
     vertex_transitive_indices,
     zagreb_coindices,
+    zagreb_coindices_identity,
     zagreb_indices,
 )
 from .verify import (

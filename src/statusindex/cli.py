@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 on success / clean verification, 1 on an unregistered
-verification mismatch, 2 on input or parameter errors. JSON output is
+verification mismatch, 2 on input or parameter errors, 3 on an internal
+error (a broken invariant, reported with its traceback). JSON output is
 schema-stable: keys sorted, no floating point, integers beyond the
 53-bit safe range rendered as exact decimal strings.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Any, Sequence
 
 from .closed_forms import INDEX_NAMES, ClosedFormReport, closed_forms_for
@@ -145,7 +147,7 @@ def _bundle_payload(g, tp, bundle) -> dict[str, Any]:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     g = _read_graph(args.path)
-    tp = transmission_profile(g, threads=args.threads)
+    tp = transmission_profile(g)
     bundle = compute_index_bundle(g, tp)
     payload = _bundle_payload(g, tp, bundle)
     if args.json:
@@ -199,7 +201,7 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
     if spec.kind == "kneser":
         # no closed form for W: compute it on the generated graph
         g = generate(spec, max_vertices=args.max_vertices)
-        wiener = transmission_profile(g, threads=args.threads).wiener
+        wiener = transmission_profile(g).wiener
     report = closed_forms_for(spec, wiener=wiener)
     mode = "as_printed" if args.as_printed else "corrected"
     if args.json:
@@ -298,9 +300,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             specs = [s for s in default_grid() if s.kind == args.family]
     report = VerificationReport()
     for spec in specs:
-        report.extend(
-            verify_family(spec, mode=mode, max_vertices=args.max_vertices, threads=args.threads)
-        )
+        report.extend(verify_family(spec, mode=mode, max_vertices=args.max_vertices))
     extra = {"skipped": skipped} if skipped else None
     return _print_report(report, args, extra)
 
@@ -353,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", help="compute all indices of an edge-list file")
     p_compute.add_argument("path")
     p_compute.add_argument("--json", action="store_true")
-    p_compute.add_argument("--threads", type=int, default=1)
     p_compute.set_defaults(func=cmd_compute)
 
     p_generate = sub.add_parser("generate", help="write a family graph as an edge list")
@@ -369,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_closed.add_argument("--as-printed", action="store_true", dest="as_printed",
                           help="show the published expressions' values")
     p_closed.add_argument("--json", action="store_true")
-    p_closed.add_argument("--threads", type=int, default=1)
     p_closed.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
     p_closed.set_defaults(func=cmd_closed_form)
 
@@ -389,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--dense", action="store_true",
                           help="use the dense random corpus (diameter <= 2 coverage)")
     p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--threads", type=int, default=1)
     p_verify.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -421,6 +418,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -73,9 +73,9 @@ def _corrected_report(
     wiener = _exact_div(n * k, 2, "n*k/2 (Wiener index)")
     corrected = {"s1": s1, "s2": s2, "s1_co": s1_co, "s2_co": s2_co}
     # the corrected values must satisfy the co-index identities exactly
-    assert s1_co == 2 * (n - 1) * wiener - s1
     bracket = (n * k) ** 2 - n * k * k
-    assert bracket % 2 == 0 and s2_co == bracket // 2 - s2
+    if s1_co != 2 * (n - 1) * wiener - s1 or bracket % 2 or s2_co != bracket // 2 - s2:
+        raise ArithmeticError(f"{family.label()}: corrected values break the co-index identities")
     return ClosedFormReport(
         family=family, n=n, m=m, degree=degree, sigma=k, wiener=wiener,
         indices={
@@ -200,7 +200,8 @@ def nanotorus_closed_forms(p: int, q: int) -> ClosedFormReport:
             ),
         }
     report = _corrected_report(spec, n, m, 3, sigma, printed)
-    assert report.wiener == wiener
+    if report.wiener != wiener:
+        raise ArithmeticError(f"{spec.label()}: Wiener index {report.wiener} != {wiener}")
     return report
 
 

@@ -11,9 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .graph import Graph
-
-DEFAULT_MAX_VERTICES = 20_000
+from .graph import DEFAULT_MAX_VERTICES, Graph
 
 #: kind -> parameter names, in declaration order.
 FAMILY_PARAMS: dict[str, tuple[str, ...]] = {

@@ -8,14 +8,17 @@ Wiener index never overflow or round.
 """
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-#: Sentinel distance for vertices not reachable from the BFS source.
-UNREACHABLE = -1
+#: Largest vertex count that parsing and generation accept by default.
+DEFAULT_MAX_VERTICES = 20_000
+
+#: Sources per pass of the transmission engine. Each per-vertex bitset
+#: holds one bit per source of the pass, so at the vertex cap one array
+#: of them stays near 10 MB.
+SOURCE_BLOCK = 4096
 
 
 class GraphError(ValueError):
@@ -98,9 +101,6 @@ class Graph:
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(nbrs) for nbrs in self.adjacency)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbor_sets[u]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
         for u, nbrs in enumerate(self.adjacency):
@@ -140,7 +140,9 @@ def parse_edge_list(text: str) -> Graph:
     Lines are blank, ``# comment``, an optional leading ``n <N>``
     header, or an edge ``<u> <v>`` of 0-based vertex ids. Without a
     header the vertex count is one more than the largest id seen.
-    Duplicate edges and self-loops are errors, not merged.
+    Duplicate edges and self-loops are errors, not merged, and so is a
+    vertex count above DEFAULT_MAX_VERTICES, checked before anything of
+    that size is allocated.
     """
     header_n: int | None = None
     edges: list[tuple[int, int]] = []
@@ -160,6 +162,11 @@ def parse_edge_list(text: str) -> Graph:
                 raise ParseError(f"line {lineno}: malformed header {line!r}") from None
             if header_n <= 0:
                 raise ParseError(f"line {lineno}: vertex count must be positive")
+            if header_n > DEFAULT_MAX_VERTICES:
+                raise ParseError(
+                    f"line {lineno}: vertex count {header_n} exceeds the cap "
+                    f"of {DEFAULT_MAX_VERTICES}"
+                )
             saw_content = True
             continue
         saw_content = True
@@ -188,6 +195,10 @@ def parse_edge_list(text: str) -> Graph:
         if not edges:
             raise ParseError("no edges and no 'n <N>' header: vertex count unknown")
         n = 1 + max(max(u, v) for u, v in edges)
+        if n > DEFAULT_MAX_VERTICES:
+            raise ParseError(
+                f"vertex id {n - 1} exceeds the cap of {DEFAULT_MAX_VERTICES} vertices"
+            )
     return Graph.from_edges(n, edges)
 
 
@@ -214,94 +225,56 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, adjacency)
 
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Distances from ``source`` to every vertex by breadth-first search.
+def profile_from_rows(rows: Sequence[Iterable[int]]) -> TransmissionProfile:
+    """Transmission profile of the graph whose vertex ``v`` has the
+    neighbours ``rows[v]``; the rows must be symmetric and loop-free.
 
-    Unreachable vertices get the UNREACHABLE sentinel; callers computing
-    indices must treat that as a connectivity error.
+    Multi-source BFS over bitsets of sources: ``frontier[v]`` holds the
+    sources at distance ``level`` from ``v`` and ``unreached[v]`` those
+    farther away, so each level ORs the neighbours' frontiers, keeps the
+    unreached bits and adds ``level`` per new bit to ``sigma[v]``. The
+    last level is the diameter; an empty level that leaves sources
+    unreached means the graph is disconnected. Sources run in blocks of
+    SOURCE_BLOCK to bound the bitset sizes.
     """
-    if not 0 <= source < g.n:
-        raise GraphError(f"source {source} out of range for n={g.n}")
-    dist = [UNREACHABLE] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    adjacency = g.adjacency
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in adjacency[u]:
-            if dist[v] == UNREACHABLE:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
-
-
-def _adjacency_masks(g: Graph) -> list[int]:
-    masks = [0] * g.n
-    for u, nbrs in enumerate(g.adjacency):
-        acc = 0
-        for v in nbrs:
-            acc |= 1 << v
-        masks[u] = acc
-    return masks
-
-
-def _sigma_ecc_range(masks: list[int], full: int, sources: range) -> list[tuple[int, int]]:
-    """(transmission, eccentricity) per source via bitset-frontier BFS.
-
-    Frontiers are integers used as vertex bitsets; each level ORs the
-    adjacency masks of the current frontier, which keeps the hot loop in
-    C even for the 1024-vertex hypercube.
-    """
-    out = []
-    for s in sources:
-        seen = 1 << s
-        frontier = seen
+    n = len(rows)
+    sigma = [0] * n
+    diameter = 0
+    for lo in range(0, n, SOURCE_BLOCK):
+        hi = min(lo + SOURCE_BLOCK, n)
+        frontier = [0] * n
+        for s in range(lo, hi):
+            frontier[s] = 1 << (s - lo)
+        block = (1 << (hi - lo)) - 1
+        unreached = [block ^ f for f in frontier]
         level = 0
-        total = 0
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= masks[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & ~seen
-            if not frontier:
-                break
+        while any(unreached):
             level += 1
-            total += level * frontier.bit_count()
-            seen |= frontier
-        if seen != full:
-            raise DisconnectedGraphError(
-                f"vertex {s} cannot reach the whole graph; indices need a connected graph"
-            )
-        out.append((total, level))
-    return out
-
-
-def transmission_profile(g: Graph, threads: int = 1) -> TransmissionProfile:
-    """All-pairs BFS reduced to per-vertex transmissions.
-
-    ``threads`` > 1 splits the BFS sources over a thread pool; per-source
-    results are independent and merged in source order, so the output is
-    identical for any thread count.
-    """
-    masks = _adjacency_masks(g)
-    full = (1 << g.n) - 1
-    if threads > 1 and g.n > 1:
-        chunk = (g.n + threads - 1) // threads
-        ranges = [range(lo, min(lo + chunk, g.n)) for lo in range(0, g.n, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda r: _sigma_ecc_range(masks, full, r), ranges))
-        pairs = [pair for part in parts for pair in part]
-    else:
-        pairs = _sigma_ecc_range(masks, full, range(g.n))
-    sigma = tuple(total for total, _ in pairs)
-    diameter = max(ecc for _, ecc in pairs)
+            nxt = [0] * n
+            for v, row in enumerate(rows):
+                new = 0
+                for u in row:
+                    new |= frontier[u]
+                new &= unreached[v]
+                if new:
+                    unreached[v] ^= new
+                    sigma[v] += level * new.bit_count()
+                    nxt[v] = new
+            if not any(nxt):
+                raise DisconnectedGraphError(
+                    "graph is disconnected; indices need a connected graph"
+                )
+            frontier = nxt
+        diameter = max(diameter, level)
     total = sum(sigma)
     if total % 2:
         raise ArithmeticError("total transmission must be even (each distance counted twice)")
-    wiener = total // 2
     regular_k = sigma[0] if len(set(sigma)) == 1 else None
-    return TransmissionProfile(sigma=sigma, wiener=wiener, diameter=diameter, regular_k=regular_k)
+    return TransmissionProfile(
+        sigma=tuple(sigma), wiener=total // 2, diameter=diameter, regular_k=regular_k
+    )
+
+
+def transmission_profile(g: Graph) -> TransmissionProfile:
+    """All-pairs distances of ``g`` reduced to per-vertex transmissions."""
+    return profile_from_rows(g.adjacency)

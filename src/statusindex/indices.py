@@ -13,7 +13,7 @@ from .graph import (
     DisconnectedGraphError,
     Graph,
     TransmissionProfile,
-    complement,
+    profile_from_rows,
     transmission_profile,
 )
 
@@ -131,8 +131,15 @@ def zagreb_indices(g: Graph) -> tuple[int, int]:
     return m1, m2
 
 
+def zagreb_coindices_identity(n: int, m: int, m1: int, m2: int) -> tuple[int, int]:
+    """Zagreb co-indices from the Zagreb indices (Ashrafi, Doslic and
+    Hamzeh, 2010): m1_co = 2m(n-1) - M1 and m2_co = 2m^2 - M2 - M1/2."""
+    return 2 * m * (n - 1) - m1, 2 * m * m - m2 - _half_even(m1, "M1")
+
+
 def zagreb_coindices(g: Graph) -> tuple[int, int]:
-    """First and second Zagreb co-indices (degree sums over non-edges)."""
+    """First and second Zagreb co-indices (degree sums over non-edges),
+    by definition; the oracle for zagreb_coindices_identity."""
     deg = g.degrees
     m1_co = 0
     m2_co = 0
@@ -142,16 +149,16 @@ def zagreb_coindices(g: Graph) -> tuple[int, int]:
     return m1_co, m2_co
 
 
-def compute_index_bundle(
-    g: Graph, tp: TransmissionProfile | None = None, threads: int = 1
-) -> IndexBundle:
-    """All eight indices by their defining sums, plus the Wiener index."""
+def compute_index_bundle(g: Graph, tp: TransmissionProfile | None = None) -> IndexBundle:
+    """All eight indices plus the Wiener index, in O(n + m) after the
+    profile: edge sums, then the co-indices from the pair-sum identities.
+    """
     if tp is None:
-        tp = transmission_profile(g, threads=threads)
+        tp = transmission_profile(g)
     s1, s2 = status_indices(g, tp)
-    s1_co, s2_co = status_coindices_direct(g, tp)
+    s1_co, s2_co = status_coindices_identity(tp, s1, s2)
     m1, m2 = zagreb_indices(g)
-    m1_co, m2_co = zagreb_coindices(g)
+    m1_co, m2_co = zagreb_coindices_identity(g.n, g.m, m1, m2)
     return IndexBundle(
         s1=s1, s2=s2, s1_co=s1_co, s2_co=s2_co,
         m1=m1, m2=m2, m1_co=m1_co, m2_co=m2_co,
@@ -190,26 +197,32 @@ def diam2_coindex_formulas(g: Graph, tp: TransmissionProfile | None = None) -> D
     )
 
 
-def complement_bounds(g: Graph, threads: int = 1) -> BoundsReport:
+def complement_bounds(g: Graph) -> BoundsReport:
     """Lower bounds on S1/S2 of the complement, from g's own data.
 
     The bounds use only n, m and the Zagreb co-indices of ``g``; the
-    actual values come from the complement graph, which must be
-    connected.
+    actual values come from the complement's adjacency rows, which must
+    form a connected graph.
     """
-    gbar = complement(g)
+    n, m = g.n, g.m
+    nbrs = g.neighbor_sets
+    rows = [[v for v in range(n) if v != u and v not in nbrs[u]] for u in range(n)]
     try:
-        tp_bar = transmission_profile(gbar, threads=threads)
+        tp_bar = profile_from_rows(rows)
     except DisconnectedGraphError as exc:
         raise DisconnectedGraphError(
             "complement is disconnected; bounds need a connected complement"
         ) from exc
-    n, m = g.n, g.m
-    m1_co, m2_co = zagreb_coindices(g)
+    m1_co, m2_co = zagreb_coindices_identity(n, m, *zagreb_indices(g))
     non_edges = n * (n - 1) // 2 - m
     s1_lower = (n - 1) * (n * (n - 1) - 2 * m) + m1_co
     s2_lower = (n - 1) ** 2 * non_edges + (n - 1) * m1_co + m2_co
-    s1_actual, s2_actual = status_indices(gbar, tp_bar)
+    sigma = tp_bar.sigma
+    s1_actual = sum(len(row) * sigma[u] for u, row in enumerate(rows))
+    s2_actual = _half_even(
+        sum(sigma[u] * sum(map(sigma.__getitem__, row)) for u, row in enumerate(rows)),
+        "complement edge product sum counted from both ends",
+    )
     return BoundsReport(
         s1_lower=s1_lower,
         s2_lower=s2_lower,

@@ -197,7 +197,6 @@ def verify_family(
     spec: FamilySpec,
     mode: str = "corrected",
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    threads: int = 1,
 ) -> VerificationReport:
     """Generate the family member, compute every index by its defining
     sum, and compare with the closed forms.
@@ -212,7 +211,7 @@ def verify_family(
     if spec.kind not in CLOSED_FORM_FAMILIES:
         raise ValueError(f"no closed forms to verify for family {spec.kind!r}")
     g = generate(spec, max_vertices=max_vertices)
-    tp = transmission_profile(g, threads=threads)
+    tp = transmission_profile(g)
     s1, s2 = status_indices(g, tp)
     s1_co, s2_co = status_coindices_direct(g, tp)
     computed = {"s1": s1, "s2": s2, "s1_co": s1_co, "s2_co": s2_co}
@@ -420,14 +419,11 @@ def verify_grid(
     mode: str = "corrected",
     specs: list[FamilySpec] | None = None,
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    threads: int = 1,
 ) -> VerificationReport:
     """Verify every spec in the grid (default: the full family grid)."""
     report = VerificationReport()
     for spec in specs if specs is not None else default_grid():
-        report.extend(
-            verify_family(spec, mode=mode, max_vertices=max_vertices, threads=threads)
-        )
+        report.extend(verify_family(spec, mode=mode, max_vertices=max_vertices))
     return report
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from statusindex import cli
 from statusindex.cli import main
 
 
@@ -68,10 +69,23 @@ class TestCompute:
         code, _, err = run(capsys, "compute", str(tmp_path / "absent.edges"))
         assert code == 2
 
-    def test_threads_flag_output_identical(self, capsys, demo5_path):
-        _, out1, _ = run(capsys, "compute", str(demo5_path), "--json", "--threads", "1")
-        _, out2, _ = run(capsys, "compute", str(demo5_path), "--json", "--threads", "3")
-        assert out1 == out2
+    def test_vertex_cap_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.edges"
+        path.write_text("n 20001\n0 1\n")
+        code, _, err = run(capsys, "compute", str(path))
+        assert code == 2
+        assert "cap" in err
+
+    def test_internal_error_exits_3(self, capsys, demo5_path, monkeypatch):
+        def broken(g, tp):
+            raise ArithmeticError("total transmission must be even")
+
+        monkeypatch.setattr(cli, "compute_index_bundle", broken)
+        code, out, err = run(capsys, "compute", str(demo5_path))
+        assert code == 3
+        assert out == ""
+        assert "internal error: total transmission must be even" in err
+        assert "Traceback" in err
 
 
 class TestGenerate:

@@ -130,6 +130,24 @@ class TestNanotorusClosedForms:
         assert corrected(report)["s1_co"] == (8 * 7 - 24) * 16 == 512
 
 
+class TestInvariantChecks:
+    """The internal consistency checks raise explicitly, so they hold
+    under ``python -O`` too."""
+
+    def test_broken_identity_raises(self, monkeypatch):
+        from statusindex import closed_forms
+
+        real = closed_forms.transmission_regular_indices
+
+        def off_by_one(n, m, k):
+            s1, s2, s1_co, s2_co = real(n, m, k)
+            return s1, s2, s1_co + 1, s2_co
+
+        monkeypatch.setattr(closed_forms, "transmission_regular_indices", off_by_one)
+        with pytest.raises(ArithmeticError, match="co-index identities"):
+            hypercube_closed_forms(3)
+
+
 class TestDispatcher:
     def test_kneser_needs_wiener(self):
         with pytest.raises(ValueError, match="Wiener"):

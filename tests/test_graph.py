@@ -4,20 +4,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from statusindex import (
-    UNREACHABLE,
+    DEFAULT_MAX_VERTICES,
     DisconnectedGraphError,
     Graph,
     GraphError,
     ParseError,
-    bfs_distances,
     complement,
     format_edge_list,
     parse_edge_list,
     transmission_profile,
 )
+from statusindex import graph as graph_module
 from statusindex.verify import demo_graph, random_connected_graph
 
-from oracles import fw_distances, oracle_profile
+from oracles import oracle_profile
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -126,6 +126,13 @@ class TestParseEdgeList:
         with pytest.raises(ParseError):
             parse_edge_list("n x")
 
+    def test_vertex_cap_checked_before_allocation(self):
+        with pytest.raises(ParseError, match="cap"):
+            parse_edge_list(f"n {DEFAULT_MAX_VERTICES + 1}\n0 1\n")
+        with pytest.raises(ParseError, match="cap"):
+            parse_edge_list(f"0 {DEFAULT_MAX_VERTICES}\n")
+        assert parse_edge_list(f"n {DEFAULT_MAX_VERTICES}\n0 1\n").n == DEFAULT_MAX_VERTICES
+
     def test_format_round_trip_is_canonical(self):
         g = parse_edge_list("2 0\n0 1")
         text = format_edge_list(g)
@@ -154,40 +161,6 @@ class TestComplement:
     @given(random_graphs())
     def test_involution(self, g):
         assert complement(complement(g)) == g
-
-
-class TestBfsDistances:
-    def test_path_from_end(self):
-        assert bfs_distances(P3, 0) == [0, 1, 2]
-
-    def test_demo_graph_from_vertex_3(self):
-        assert bfs_distances(demo_graph(), 3) == [2, 2, 1, 0, 1]
-
-    def test_four_cycle(self):
-        assert bfs_distances(C4, 0) == [0, 1, 2, 1]
-
-    def test_unreachable_sentinel(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        assert bfs_distances(g, 0) == [0, 1, UNREACHABLE, UNREACHABLE]
-
-    def test_source_out_of_range(self):
-        with pytest.raises(GraphError):
-            bfs_distances(P3, 3)
-
-    @settings(max_examples=40, deadline=None)
-    @given(random_graphs())
-    def test_distances_symmetric(self, g):
-        rows = [bfs_distances(g, u) for u in range(g.n)]
-        for u in range(g.n):
-            for v in range(g.n):
-                assert rows[u][v] == rows[v][u]
-
-    @settings(max_examples=40, deadline=None)
-    @given(random_graphs(max_n=8))
-    def test_matches_floyd_warshall(self, g):
-        fw = fw_distances(g.adjacency)
-        for u in range(g.n):
-            assert bfs_distances(g, u) == fw[u]
 
 
 class TestTransmissionProfile:
@@ -220,9 +193,35 @@ class TestTransmissionProfile:
         with pytest.raises(DisconnectedGraphError):
             transmission_profile(g)
 
-    def test_thread_count_does_not_change_result(self):
+    @pytest.mark.parametrize("block", [3, graph_module.SOURCE_BLOCK])
+    @settings(max_examples=40, deadline=None)
+    @given(g=random_graphs(max_n=60))
+    def test_engine_matches_floyd_warshall(self, block, g):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "SOURCE_BLOCK", block)
+            tp = transmission_profile(g)
+        assert (list(tp.sigma), tp.wiener, tp.diameter) == oracle_profile(g.adjacency)
+
+    @pytest.mark.parametrize("block", [3, graph_module.SOURCE_BLOCK])
+    @settings(max_examples=40, deadline=None)
+    @given(parts=st.lists(random_graphs(max_n=12), min_size=2, max_size=3))
+    def test_engine_rejects_disconnected(self, block, parts):
+        # disjoint union: later parts are shifted past the earlier ones
+        edges, offset = [], 0
+        for part in parts:
+            edges += [(u + offset, v + offset) for u, v in part.edges()]
+            offset += part.n
+        g = Graph.from_edges(offset, edges)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "SOURCE_BLOCK", block)
+            with pytest.raises(DisconnectedGraphError):
+                transmission_profile(g)
+
+    def test_block_size_does_not_change_result(self, monkeypatch):
         g = random_connected_graph(40, 0.1, seed=5)
-        assert transmission_profile(g) == transmission_profile(g, threads=4)
+        whole = transmission_profile(g)
+        monkeypatch.setattr(graph_module, "SOURCE_BLOCK", 7)
+        assert transmission_profile(g) == whole
 
     @settings(max_examples=40, deadline=None)
     @given(random_graphs())

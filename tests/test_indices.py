@@ -19,6 +19,7 @@ from statusindex import (
     validate_orbit_partition,
     vertex_transitive_indices,
     zagreb_coindices,
+    zagreb_coindices_identity,
     zagreb_indices,
 )
 from statusindex.verify import demo_graph, random_connected_graph
@@ -117,6 +118,8 @@ class TestZagreb:
         expected = oracle_indices(g.adjacency)
         assert zagreb_indices(g) == (expected["m1"], expected["m2"])
         assert zagreb_coindices(g) == (expected["m1_co"], expected["m2_co"])
+        m1, m2 = zagreb_indices(g)
+        assert zagreb_coindices_identity(g.n, g.m, m1, m2) == zagreb_coindices(g)
 
 
 class TestIndexBundle:
@@ -133,6 +136,27 @@ class TestIndexBundle:
     def test_single_edge(self):
         bundle = compute_index_bundle(K2)
         assert (bundle.s1, bundle.s2, bundle.s1_co, bundle.s2_co) == (2, 1, 0, 0)
+
+    @pytest.mark.parametrize("g", [
+        Graph(1, ((),)),
+        K2,
+        Graph.from_edges(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (5, 6)]),
+        demo_graph(),
+    ], ids=["K1", "K2", "tree", "demo5"])
+    def test_identity_route_equals_direct_sums(self, g):
+        assert_identity_route_equals_direct_sums(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graphs(max_n=30))
+    def test_identity_route_equals_direct_sums_random(self, g):
+        assert_identity_route_equals_direct_sums(g)
+
+
+def assert_identity_route_equals_direct_sums(g):
+    tp = transmission_profile(g)
+    bundle = compute_index_bundle(g, tp)
+    assert (bundle.s1_co, bundle.s2_co) == status_coindices_direct(g, tp)
+    assert (bundle.m1_co, bundle.m2_co) == zagreb_coindices(g)
 
 
 class TestDiam2Formulas:
