@@ -44,6 +44,7 @@ from .indices import (
     complement_bounds,
     compute_index_bundle,
     diam2_coindex_formulas,
+    edge_sums,
     orbit_indices,
     status_coindices_direct,
     status_coindices_identity,

@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Exit codes: 0 on success / clean verification, 1 on an unregistered
-verification mismatch, 2 on input or parameter errors, 3 on an internal
-error (a broken invariant, reported with its traceback). JSON output is
-schema-stable: keys sorted, no floating point, integers beyond the
-53-bit safe range rendered as exact decimal strings.
+verification mismatch, 2 on input or parameter errors (including a
+verification run that checks no case), 3 on an internal error (a broken
+invariant, reported with its traceback). JSON output is schema-stable:
+keys sorted, no floating point, integers beyond the 53-bit safe range
+rendered as exact decimal strings.
 """
 from __future__ import annotations
 
@@ -247,6 +248,11 @@ def _report_payload(report: VerificationReport, extra: dict[str, Any] | None = N
 
 def _print_report(report: VerificationReport, args: argparse.Namespace,
                   extra: dict[str, Any] | None = None) -> int:
+    if not report.cases:
+        # an empty run would otherwise print a clean summary and exit 0
+        skipped = len(extra["skipped"]) if extra else 0
+        detail = f" ({skipped} invalid parameter combinations skipped)" if skipped else ""
+        raise ValueError(f"no cases checked{detail}")
     if args.json:
         _print_json(_report_payload(report, extra))
     else:

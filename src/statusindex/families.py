@@ -8,8 +8,9 @@ adjacency lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
+from operator import not_
 
 from .graph import DEFAULT_MAX_VERTICES, Graph
 
@@ -163,19 +164,18 @@ def _hypercube(n: int) -> Graph:
 
 
 def _subset_graph(p: int, k: int, adjacent_when_disjoint: bool) -> Graph:
-    sets = [frozenset(s) for s in colex_subsets(p, k)]
-    size = len(sets)
+    # Subsets as bitmasks, so a & b is their intersection; compress
+    # keeps the colex ranks whose intersection with a is (non)empty.
+    masks = [sum(1 << i for i in s) for s in colex_subsets(p, k)]
+    ranks = range(len(masks))
     adjacency = []
-    for u, a in enumerate(sets):
-        row = []
-        for v, b in enumerate(sets):
-            if u == v:
-                continue
-            disjoint = not (a & b)
-            if disjoint == adjacent_when_disjoint:
-                row.append(v)
+    for u, a in enumerate(masks):
+        meets = map(a.__and__, masks)
+        row = list(compress(ranks, map(not_, meets) if adjacent_when_disjoint else meets))
+        if not adjacent_when_disjoint:
+            row.remove(u)  # every subset meets itself
         adjacency.append(tuple(row))
-    return Graph(size, tuple(adjacency))
+    return Graph(len(masks), tuple(adjacency))
 
 
 def _polyhex_lattice(rows: int, ring: int) -> Graph:

@@ -1,8 +1,9 @@
 """Undirected simple graphs with exact-integer distance invariants.
 
 Vertices are dense 0-based integers. Graphs are immutable after
-construction; every constructor validates the simple-graph invariants
-(no self-loops, no duplicate neighbors, symmetric adjacency). All
+construction, and every graph, whatever built it, is validated exactly
+once, in ``Graph.__post_init__``: sorted rows of in-range neighbors, no
+self-loops, no duplicate neighbors, symmetric adjacency. All
 distance quantities are plain Python integers, so sums such as the
 Wiener index never overflow or round.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 #: Largest vertex count that parsing and generation accept by default.
@@ -44,27 +46,31 @@ class Graph:
     adjacency: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n <= 0:
-            raise GraphError(f"vertex count must be positive, got {self.n}")
-        if len(self.adjacency) != self.n:
-            raise GraphError(
-                f"adjacency has {len(self.adjacency)} rows for n={self.n}"
-            )
-        seen: set[tuple[int, int]] = set()
-        for u, nbrs in enumerate(self.adjacency):
-            prev = -1
-            for v in nbrs:
-                if not 0 <= v < self.n:
-                    raise GraphError(f"neighbor {v} of vertex {u} out of range")
-                if v == u:
-                    raise GraphError(f"self-loop at vertex {u}")
-                if v <= prev:
-                    raise GraphError(f"adjacency[{u}] not sorted/deduplicated")
-                prev = v
-                seen.add((u, v))
-        for u, v in seen:
-            if (v, u) not in seen:
-                raise GraphError(f"asymmetric adjacency: {u}->{v} without {v}->{u}")
+        n, rows = self.n, self.adjacency
+        if n <= 0:
+            raise GraphError(f"vertex count must be positive, got {n}")
+        if len(rows) != n:
+            raise GraphError(f"adjacency has {len(rows)} rows for n={n}")
+        # One O(n + m) pass. The transpose gets its sources in increasing
+        # order, so its rows come out sorted and symmetry is row equality.
+        transpose: list[list[int]] = [[] for _ in range(n)]
+        for u, row in enumerate(rows):
+            if not row:
+                continue
+            if not all(map(lt, row, row[1:])):
+                raise GraphError(f"adjacency[{u}] not sorted/deduplicated")
+            if row[0] < 0 or row[-1] >= n:
+                bad = row[0] if row[0] < 0 else row[-1]
+                raise GraphError(f"neighbor {bad} of vertex {u} out of range")
+            if u in row:
+                raise GraphError(f"self-loop at vertex {u}")
+            for v in row:
+                transpose[v].append(u)
+        for u, row in enumerate(rows):
+            if tuple(transpose[u]) != tuple(row):
+                v = min(set(row).symmetric_difference(transpose[u]))
+                a, b = (u, v) if v in row else (v, u)
+                raise GraphError(f"asymmetric adjacency: {a}->{b} without {b}->{a}")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -75,17 +81,20 @@ class Graph:
         """
         if n <= 0:
             raise GraphError(f"vertex count must be positive, got {n}")
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        rows: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
+            rows[u].append(v)
+            rows[v].append(u)
+        for u, row in enumerate(rows):
+            row.sort()
+            if u in row:
                 raise GraphError(f"self-loop at vertex {u}")
-            if v in nbrs[u]:
+            if len(set(row)) != len(row):
+                v = next(v for v, w in zip(row, row[1:]) if v == w)
                 raise GraphError(f"duplicate edge ({u}, {v})")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return cls(n, tuple(tuple(sorted(s)) for s in nbrs))
+        return cls(n, tuple(map(tuple, rows)))
 
     @cached_property
     def m(self) -> int:
@@ -138,12 +147,67 @@ def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text into a Graph.
 
     Lines are blank, ``# comment``, an optional leading ``n <N>``
-    header, or an edge ``<u> <v>`` of 0-based vertex ids. Without a
-    header the vertex count is one more than the largest id seen.
-    Duplicate edges and self-loops are errors, not merged, and so is a
-    vertex count above DEFAULT_MAX_VERTICES, checked before anything of
-    that size is allocated.
+    header, or an edge ``<u> <v>`` of 0-based vertex ids in ASCII
+    digits. Without a header the vertex count is one more than the
+    largest id seen. Duplicate edges and self-loops are errors, not
+    merged, and so is a vertex count above DEFAULT_MAX_VERTICES, checked
+    before anything of that size is allocated.
+
+    The text is checked in bulk, without line numbers; when a check
+    fails, ``_first_error`` rereads it line by line to name the line.
     """
+    body = text
+    if "#" in text:
+        kept = (line for line in text.splitlines() if not line.lstrip().startswith("#"))
+        body = "\n".join(kept)
+    if not set(map(len, map(str.split, body.splitlines()))) <= {0, 2}:
+        raise _first_error(text)
+    tokens = body.split()
+    header_n: int | None = None
+    if tokens[:1] == ["n"]:
+        header_n = _vertex_id(tokens[1])
+        if header_n is None or not 0 < header_n <= DEFAULT_MAX_VERTICES:
+            raise _first_error(text)
+        del tokens[:2]
+    # Ids written canonically and below the header's count, as in every
+    # file `generate` writes, are dictionary hits: several times faster
+    # than int(), and the rows share one int object per vertex.
+    known = {str(v): v for v in range(header_n or 0)}
+    try:
+        ids = list(map(known.__getitem__, tokens))
+    except KeyError:
+        ids = list(map(_vertex_id, tokens))
+        if None in ids:
+            raise _first_error(text) from None
+    del tokens  # the largest temporary; freed before the rows are built
+    if header_n is None and not ids:
+        raise _first_error(text)  # the vertex count is unknown
+    n = header_n or 1 + max(ids)
+    if n > DEFAULT_MAX_VERTICES:
+        raise _first_error(text)
+    pairs = iter(ids)
+    try:
+        return Graph.from_edges(n, zip(pairs, pairs))
+    except GraphError:
+        raise _first_error(text) from None
+
+
+def _vertex_id(token: str) -> int | None:
+    """``token`` as a vertex id or count, or None unless it is ASCII
+    digits; ``int`` alone also reads ``+1``, ``1_0`` and other scripts'
+    digits."""
+    if not (token.isdigit() and token.isascii()):
+        return None
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() reads
+        return None
+
+
+def _first_error(text: str) -> ParseError:
+    """The error for the first invalid line of ``text``, found by
+    rereading it line by line. parse_edge_list calls this only once a
+    bulk check has failed, so its own pass tracks no line numbers."""
     header_n: int | None = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -154,52 +218,42 @@ def parse_edge_list(text: str) -> Graph:
             continue
         parts = line.split()
         if not saw_content and parts[0] == "n":
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: malformed header {line!r}")
-            try:
-                header_n = int(parts[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: malformed header {line!r}") from None
+            saw_content = True
+            header_n = _vertex_id(parts[1]) if len(parts) == 2 else None
+            if header_n is None:
+                return ParseError(f"line {lineno}: malformed header {line!r}")
             if header_n <= 0:
-                raise ParseError(f"line {lineno}: vertex count must be positive")
+                return ParseError(f"line {lineno}: vertex count must be positive")
             if header_n > DEFAULT_MAX_VERTICES:
-                raise ParseError(
+                return ParseError(
                     f"line {lineno}: vertex count {header_n} exceeds the cap "
                     f"of {DEFAULT_MAX_VERTICES}"
                 )
-            saw_content = True
             continue
         saw_content = True
         if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected '<u> <v>', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer vertex id in {line!r}") from None
-        if u < 0 or v < 0:
-            raise ParseError(f"line {lineno}: negative vertex id in {line!r}")
+            return ParseError(f"line {lineno}: expected '<u> <v>', got {line!r}")
+        u, v = map(_vertex_id, parts)
+        if u is None or v is None:
+            negative = any(p[:1] == "-" and _vertex_id(p[1:]) is not None for p in parts)
+            what = "negative" if negative else "non-integer"
+            return ParseError(f"line {lineno}: {what} vertex id in {line!r}")
         if u == v:
-            raise ParseError(f"line {lineno}: self-loop {u} {v}")
+            return ParseError(f"line {lineno}: self-loop {u} {v}")
         key = (min(u, v), max(u, v))
         if key in seen:
-            raise ParseError(f"line {lineno}: duplicate edge {u} {v}")
+            return ParseError(f"line {lineno}: duplicate edge {u} {v}")
         seen.add(key)
         edges.append((u, v))
-
     if header_n is not None:
-        n = header_n
         for u, v in edges:
-            if u >= n or v >= n:
-                raise ParseError(f"edge ({u}, {v}) exceeds declared vertex count {n}")
-    else:
-        if not edges:
-            raise ParseError("no edges and no 'n <N>' header: vertex count unknown")
-        n = 1 + max(max(u, v) for u, v in edges)
-        if n > DEFAULT_MAX_VERTICES:
-            raise ParseError(
-                f"vertex id {n - 1} exceeds the cap of {DEFAULT_MAX_VERTICES} vertices"
-            )
-    return Graph.from_edges(n, edges)
+            if u >= header_n or v >= header_n:
+                return ParseError(f"edge ({u}, {v}) exceeds declared vertex count {header_n}")
+    elif not edges:
+        return ParseError("no edges and no 'n <N>' header: vertex count unknown")
+    elif (top := max(map(max, edges))) >= DEFAULT_MAX_VERTICES:
+        return ParseError(f"vertex id {top} exceeds the cap of {DEFAULT_MAX_VERTICES} vertices")
+    raise RuntimeError("edge list failed a bulk check, but no line of it is invalid")
 
 
 def format_edge_list(g: Graph) -> str:

@@ -8,6 +8,7 @@ first, checking evenness, then halving.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .graph import (
     DisconnectedGraphError,
@@ -82,15 +83,25 @@ def _half_even(value: int, what: str) -> int:
     return value // 2
 
 
+def edge_sums(rows: Sequence[Sequence[int]], weights: Sequence[int]) -> tuple[int, int]:
+    """(sum of w_u + w_v, sum of w_u * w_v) over the edges uv of the
+    graph whose vertex ``u`` has the neighbours ``rows[u]``.
+
+    Summed row by row: the first sum is sum of deg(u) * w_u, and the
+    second counts each edge from both ends, so it is halved.
+    """
+    weight = weights.__getitem__
+    total = 0
+    doubled = 0
+    for w, row in zip(weights, rows):
+        total += len(row) * w
+        doubled += w * sum(map(weight, row))
+    return total, _half_even(doubled, "edge product sum counted from both ends")
+
+
 def status_indices(g: Graph, tp: TransmissionProfile) -> tuple[int, int]:
     """First and second status connectivity indices (edge sums)."""
-    sigma = tp.sigma
-    s1 = 0
-    s2 = 0
-    for u, v in g.edges():
-        s1 += sigma[u] + sigma[v]
-        s2 += sigma[u] * sigma[v]
-    return s1, s2
+    return edge_sums(g.adjacency, tp.sigma)
 
 
 def status_coindices_direct(g: Graph, tp: TransmissionProfile) -> tuple[int, int]:
@@ -124,11 +135,9 @@ def status_coindices_identity(tp: TransmissionProfile, s1: int, s2: int) -> tupl
 
 
 def zagreb_indices(g: Graph) -> tuple[int, int]:
-    """First and second Zagreb indices (degree sums over edges)."""
-    deg = g.degrees
-    m1 = sum(d * d for d in deg)
-    m2 = sum(deg[u] * deg[v] for u, v in g.edges())
-    return m1, m2
+    """First and second Zagreb indices (degree sums over edges); with
+    the degrees as weights, the first edge sum is sum of d^2."""
+    return edge_sums(g.adjacency, g.degrees)
 
 
 def zagreb_coindices_identity(n: int, m: int, m1: int, m2: int) -> tuple[int, int]:
@@ -217,12 +226,7 @@ def complement_bounds(g: Graph) -> BoundsReport:
     non_edges = n * (n - 1) // 2 - m
     s1_lower = (n - 1) * (n * (n - 1) - 2 * m) + m1_co
     s2_lower = (n - 1) ** 2 * non_edges + (n - 1) * m1_co + m2_co
-    sigma = tp_bar.sigma
-    s1_actual = sum(len(row) * sigma[u] for u, row in enumerate(rows))
-    s2_actual = _half_even(
-        sum(sigma[u] * sum(map(sigma.__getitem__, row)) for u, row in enumerate(rows)),
-        "complement edge product sum counted from both ends",
-    )
+    s1_actual, s2_actual = edge_sums(rows, tp_bar.sigma)
     return BoundsReport(
         s1_lower=s1_lower,
         s2_lower=s2_lower,

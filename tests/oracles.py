@@ -68,3 +68,21 @@ def oracle_indices(adjacency) -> dict[str, int]:
             out["m1_co"] += deg[u] + deg[v]
             out["m2_co"] += deg[u] * deg[v]
     return out
+
+
+def subset_graph_adjacency(p: int, k: int, disjoint: bool) -> tuple[tuple[int, ...], ...]:
+    """Adjacency of the k-subsets of {0..p-1} in colexicographic order,
+    by definition on frozensets: two distinct subsets are adjacent iff
+    they are disjoint (Kneser graph) or iff they meet (intersection
+    graph), as ``disjoint`` selects."""
+    subsets = sorted(
+        (frozenset(c) for c in combinations(range(p), k)),
+        key=lambda s: sorted(s, reverse=True),
+    )
+    return tuple(
+        tuple(
+            v for v, b in enumerate(subsets)
+            if v != u and a.isdisjoint(b) == disjoint
+        )
+        for u, a in enumerate(subsets)
+    )

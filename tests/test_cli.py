@@ -58,6 +58,15 @@ class TestCompute:
         assert code == 2
         assert "self-loop" in err
 
+    @pytest.mark.parametrize("text", ["1_0 +2\n", "n \u0663\n0 1\n"])
+    def test_non_ascii_digit_ids_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.edges"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "compute", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 1:")
+
     def test_disconnected_exits_2(self, capsys, tmp_path):
         path = tmp_path / "split.edges"
         path.write_text("0 1\n2 3\n")
@@ -240,6 +249,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--family", "random", "--count", "10")
         assert code == 0
         assert "hard failures" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "random", "--count", "0"),
+            ("--family", "nanotorus", "--p", "3..3", "--q", "3..5"),
+        ],
+    )
+    def test_empty_run_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert "summary" not in out
+        assert err.startswith("error: no cases checked")
 
     def test_random_suite_rejects_as_printed(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "random",

@@ -14,7 +14,7 @@ from statusindex import (
 )
 from statusindex.families import colex_subsets, expected_order
 
-from oracles import oracle_profile
+from oracles import oracle_profile, subset_graph_adjacency
 
 
 class TestFamilySpec:
@@ -108,6 +108,18 @@ class TestIntersection:
             FamilySpec.intersection(4, 1)
         with pytest.raises(FamilyError, match="1 < t < p"):
             FamilySpec.intersection(3, 3)
+
+
+class TestSubsetFamilies:
+    @pytest.mark.parametrize("p", range(1, 10))
+    def test_match_frozenset_definition(self, p):
+        for k in range(1, p + 1):
+            if k == 1 or p >= 2 * k + 1:
+                g = generate(FamilySpec.kneser(p, k))
+                assert g.adjacency == subset_graph_adjacency(p, k, disjoint=True)
+        for t in range(2, p):
+            g = generate(FamilySpec.intersection(p, t))
+            assert g.adjacency == subset_graph_adjacency(p, t, disjoint=False)
 
 
 class TestNanotorus:

@@ -26,6 +26,13 @@ C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 K4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
 
 
+#: Valid and invalid edge-list lines for texts built at random.
+EDGE_LIST_LINES = (
+    "", "# note", "n 3", "n 0", "n x", "n 3 4", "0 1", "1 0", "1 2", "0 2", "2 3",
+    " 2  4 ", "3 3", "0 1 2", "5", "-1 0", "+1 0", "01 2", "a b", "0 20000",
+)
+
+
 def random_graphs(max_n=10):
     """Strategy: seeded connected random graphs."""
     return st.builds(
@@ -66,6 +73,33 @@ class TestGraphValidation:
     def test_rejects_unsorted_adjacency(self):
         with pytest.raises(GraphError, match="sorted"):
             Graph(3, ((2, 1), (0, 2), (0, 1)))
+
+    def test_from_edges_names_the_duplicate_edge(self):
+        with pytest.raises(GraphError, match=r"duplicate edge \(0, 1\)"):
+            Graph.from_edges(3, [(0, 1), (1, 2), (1, 0)])
+
+    @pytest.mark.parametrize("edges", [[(-1, 0)], [(0, -1)], [(-2, 0)], [(0, 1), (-1, -2)]])
+    def test_from_edges_rejects_negative_id(self, edges):
+        # a negative id must not wrap around to another vertex's row
+        with pytest.raises(GraphError, match="out of range"):
+            Graph.from_edges(2, edges)
+
+    @pytest.mark.parametrize(
+        "n, adjacency, message",
+        [
+            (0, (), "positive"),
+            (2, ((1,),), "rows"),
+            (2, ((-1,), ()), "out of range"),
+            (2, ((2,), ()), "out of range"),
+            (2, ((0, 1), (0,)), "self-loop"),
+            (2, ((1, 1), (0,)), "sorted"),
+            (3, ((1,), (0, 2), ()), "asymmetric"),
+            (3, ((1, 2), (0,), ()), "asymmetric"),
+        ],
+    )
+    def test_constructor_rejects(self, n, adjacency, message):
+        with pytest.raises(GraphError, match=message):
+            Graph(n, adjacency)
 
     def test_edges_and_non_edges_partition_pairs(self):
         g = demo_graph()
@@ -133,11 +167,63 @@ class TestParseEdgeList:
             parse_edge_list(f"0 {DEFAULT_MAX_VERTICES}\n")
         assert parse_edge_list(f"n {DEFAULT_MAX_VERTICES}\n0 1\n").n == DEFAULT_MAX_VERTICES
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("0 1\n1 2\n\n# again\n2 1\n", 5), ("n 3\n0 1\n1 0\n0 2\n0 1\n", 3)],
+    )
+    def test_duplicate_edge_names_its_line(self, text, line):
+        with pytest.raises(ParseError, match=f"line {line}: duplicate edge"):
+            parse_edge_list(text)
+
+    def test_self_loop_names_its_line(self):
+        with pytest.raises(ParseError, match="line 3: self-loop 2 2"):
+            parse_edge_list("0 1\n1 2\n2 2\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1_0 +2\n",
+            "+1 0\n",
+            "\u0661 0\n",
+            "0 1\n1 \uff12\n",
+            "0 " + "9" * 5000 + "\n",
+            "n 1_0\n0 1\n",
+            "n +3\n0 1\n",
+            "n \u0663\n0 1\n",
+        ],
+    )
+    def test_ids_and_header_are_ascii_digits_only(self, text):
+        with pytest.raises(ParseError):
+            parse_edge_list(text)
+
+    def test_leading_zeros_are_ascii_digits(self):
+        assert parse_edge_list("n 03\n00 1\n01 2\n") == P3
+        assert parse_edge_list("00 1\n01 2\n") == P3
+
     def test_format_round_trip_is_canonical(self):
         g = parse_edge_list("2 0\n0 1")
         text = format_edge_list(g)
         assert text == "n 3\n0 1\n0 2\n"
         assert parse_edge_list(text) == g
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_graphs())
+    def test_parse_inverts_format(self, g):
+        assert parse_edge_list(format_edge_list(g)) == g
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(EDGE_LIST_LINES), max_size=8))
+    def test_bulk_checks_agree_with_line_check(self, lines):
+        # parse_edge_list rejects a text only after its bulk checks fail,
+        # and then takes the error from the line-by-line check; that check
+        # must find an invalid line exactly when the bulk checks fail.
+        text = "\n".join(lines)
+        try:
+            parse_edge_list(text)
+        except ParseError:
+            return
+        with pytest.raises(RuntimeError):
+            graph_module._first_error(text)
 
 
 class TestComplement:

@@ -10,6 +10,7 @@ from statusindex import (
     complement_bounds,
     compute_index_bundle,
     diam2_coindex_formulas,
+    edge_sums,
     orbit_indices,
     status_coindices_direct,
     status_coindices_identity,
@@ -45,6 +46,16 @@ def random_graphs(max_n=10):
         edge_probability=st.sampled_from([0.25, 0.4, 0.6, 0.8, 0.95]),
         seed=st.integers(0, 10_000),
     )
+
+
+class TestEdgeSums:
+    def test_path_by_hand(self):
+        # edges 01 and 12: (1+2) + (2+3) and 1*2 + 2*3
+        assert edge_sums(P3.adjacency, (1, 2, 3)) == (8, 8)
+
+    def test_asymmetric_rows_break_the_halving(self):
+        with pytest.raises(ArithmeticError, match="both ends"):
+            edge_sums(((1,), ()), (1, 1))
 
 
 class TestStatusIndices:
