@@ -51,7 +51,6 @@ from .indices import (
     status_indices,
     transmission_regular_indices,
     validate_orbit_partition,
-    vertex_transitive_indices,
     zagreb_coindices,
     zagreb_coindices_identity,
     zagreb_indices,

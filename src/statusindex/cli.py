@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import asdict
 from typing import Any, Sequence
 
 from .closed_forms import INDEX_NAMES, ClosedFormReport, closed_forms_for
@@ -30,7 +31,7 @@ from .verify import (
     DEFAULT_SEED,
     VerificationReport,
     default_grid,
-    verify_family,
+    verify_grid,
     verify_identities,
     verify_random_suite,
 )
@@ -53,6 +54,16 @@ def _jsonable(value: Any) -> Any:
 
 def _print_json(payload: dict[str, Any]) -> None:
     print(json.dumps(_jsonable(payload), sort_keys=True, indent=2))
+
+
+def _print_payload(payload: dict[str, Any], args: argparse.Namespace,
+                   text_keys: tuple[str, ...]) -> None:
+    """JSON of the whole payload, or one ``key: value`` line per text key."""
+    if args.json:
+        _print_json(payload)
+    else:
+        for key in text_keys:
+            print(f"{key}: {payload[key]}")
 
 
 def _read_graph(path: str):
@@ -127,38 +138,30 @@ def _specs_from_ranges(args: argparse.Namespace) -> tuple[list[FamilySpec], list
     return specs, skipped
 
 
-def _bundle_payload(g, tp, bundle) -> dict[str, Any]:
-    return {
-        "n": g.n,
-        "m": g.m,
-        "diameter": tp.diameter,
-        "wiener": bundle.wiener,
-        "transmission": list(tp.sigma),
-        "transmission_regular_k": tp.regular_k,
-        "s1": bundle.s1,
-        "s2": bundle.s2,
-        "s1_co": bundle.s1_co,
-        "s2_co": bundle.s2_co,
-        "m1": bundle.m1,
-        "m2": bundle.m2,
-        "m1_co": bundle.m1_co,
-        "m2_co": bundle.m2_co,
-    }
+#: Text-output order of the compute fields; JSON adds the transmissions.
+_COMPUTE_KEYS = (
+    "n", "m", "diameter", "wiener", "transmission_regular_k",
+    "s1", "s2", "s1_co", "s2_co", "m1", "m2", "m1_co", "m2_co",
+)
+
+#: Text-output order of the bounds fields.
+_BOUNDS_KEYS = (
+    "s1_lower", "s1_actual", "s2_lower", "s2_actual", "equality", "complement_diameter",
+)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
     g = _read_graph(args.path)
     tp = transmission_profile(g)
-    bundle = compute_index_bundle(g, tp)
-    payload = _bundle_payload(g, tp, bundle)
-    if args.json:
-        _print_json(payload)
-    else:
-        for key in (
-            "n", "m", "diameter", "wiener", "transmission_regular_k",
-            "s1", "s2", "s1_co", "s2_co", "m1", "m2", "m1_co", "m2_co",
-        ):
-            print(f"{key}: {payload[key]}")
+    payload = {
+        "n": g.n,
+        "m": g.m,
+        "diameter": tp.diameter,
+        "transmission": list(tp.sigma),
+        "transmission_regular_k": tp.regular_k,
+        **asdict(compute_index_bundle(g, tp)),
+    }
+    _print_payload(payload, args, _COMPUTE_KEYS)
     return 0
 
 
@@ -304,30 +307,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             specs, skipped = _specs_from_ranges(args)
         else:
             specs = [s for s in default_grid() if s.kind == args.family]
-    report = VerificationReport()
-    for spec in specs:
-        report.extend(verify_family(spec, mode=mode, max_vertices=args.max_vertices))
+    report = verify_grid(mode, specs, args.max_vertices)
     extra = {"skipped": skipped} if skipped else None
     return _print_report(report, args, extra)
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     g = _read_graph(args.path)
-    bounds = complement_bounds(g)
-    payload = {
-        "s1_lower": bounds.s1_lower,
-        "s2_lower": bounds.s2_lower,
-        "s1_actual": bounds.s1_actual,
-        "s2_actual": bounds.s2_actual,
-        "equality": bounds.equality,
-        "complement_diameter": bounds.complement_diameter,
-    }
-    if args.json:
-        _print_json(payload)
-    else:
-        for key in ("s1_lower", "s1_actual", "s2_lower", "s2_actual",
-                    "equality", "complement_diameter"):
-            print(f"{key}: {payload[key]}")
+    _print_payload(asdict(complement_bounds(g)), args, _BOUNDS_KEYS)
     return 0
 
 

@@ -3,7 +3,8 @@
 Vertices are dense 0-based integers. Graphs are immutable after
 construction, and every graph, whatever built it, is validated exactly
 once, in ``Graph.__post_init__``: sorted rows of in-range neighbors, no
-self-loops, no duplicate neighbors, symmetric adjacency. All
+self-loops, no duplicate neighbors, symmetric adjacency. The edge-list
+parser adds only the checks that need the text's lines. All
 distance quantities are plain Python integers, so sums such as the
 Wiener index never overflow or round.
 """
@@ -57,13 +58,15 @@ class Graph:
         for u, row in enumerate(rows):
             if not row:
                 continue
+            if u in row:
+                raise GraphError(f"self-loop at vertex {u}")
             if not all(map(lt, row, row[1:])):
-                raise GraphError(f"adjacency[{u}] not sorted/deduplicated")
+                v = next((v for v, w in zip(row, row[1:]) if v == w), None)
+                repeated = "" if v is None else f"duplicate edge ({u}, {v}): "
+                raise GraphError(f"{repeated}adjacency[{u}] not sorted/deduplicated")
             if row[0] < 0 or row[-1] >= n:
                 bad = row[0] if row[0] < 0 else row[-1]
                 raise GraphError(f"neighbor {bad} of vertex {u} out of range")
-            if u in row:
-                raise GraphError(f"self-loop at vertex {u}")
             for v in row:
                 transpose[v].append(u)
         for u, row in enumerate(rows):
@@ -74,26 +77,17 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-        """Build a graph from an iterable of (u, v) pairs.
-
-        Rejects self-loops, out-of-range ids, and duplicate edges (in
-        either orientation) instead of silently merging them.
-        """
-        if n <= 0:
-            raise GraphError(f"vertex count must be positive, got {n}")
+        """Build a graph from an iterable of (u, v) pairs. Ids are range
+        checked as they come, so a negative one cannot wrap to another row;
+        validating the sorted rows rejects self-loops and duplicate edges."""
         rows: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
             rows[u].append(v)
             rows[v].append(u)
-        for u, row in enumerate(rows):
+        for row in rows:
             row.sort()
-            if u in row:
-                raise GraphError(f"self-loop at vertex {u}")
-            if len(set(row)) != len(row):
-                v = next(v for v, w in zip(row, row[1:]) if v == w)
-                raise GraphError(f"duplicate edge ({u}, {v})")
         return cls(n, tuple(map(tuple, rows)))
 
     @cached_property
@@ -146,50 +140,83 @@ class TransmissionProfile:
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text into a Graph.
 
-    Lines are blank, ``# comment``, an optional leading ``n <N>``
-    header, or an edge ``<u> <v>`` of 0-based vertex ids in ASCII
-    digits. Without a header the vertex count is one more than the
-    largest id seen. Duplicate edges and self-loops are errors, not
-    merged, and so is a vertex count above DEFAULT_MAX_VERTICES, checked
-    before anything of that size is allocated.
+    Lines are blank, ``# comment``, an optional ``n <N>`` header on the
+    first content line, or an edge ``<u> <v>`` of 0-based vertex ids in
+    ASCII digits. Without a header the vertex count is one more than
+    the largest id seen. Duplicate edges and self-loops are errors, not
+    merged, and so is a vertex count above DEFAULT_MAX_VERTICES.
 
-    The text is checked in bulk, without line numbers; when a check
-    fails, ``_first_error`` rereads it line by line to name the line.
+    One pass checks each line as it reads it, ids against the header or
+    the cap before anything of that size is allocated; each error names
+    its line. Repeated edges are left to the graph's validation: only
+    when it rejects one does the parser look up the line that repeats it.
     """
-    body = text
-    if "#" in text:
-        kept = (line for line in text.splitlines() if not line.lstrip().startswith("#"))
-        body = "\n".join(kept)
-    if not set(map(len, map(str.split, body.splitlines()))) <= {0, 2}:
-        raise _first_error(text)
-    tokens = body.split()
     header_n: int | None = None
-    if tokens[:1] == ["n"]:
-        header_n = _vertex_id(tokens[1])
-        if header_n is None or not 0 < header_n <= DEFAULT_MAX_VERTICES:
-            raise _first_error(text)
-        del tokens[:2]
-    # Ids written canonically and below the header's count, as in every
-    # file `generate` writes, are dictionary hits: several times faster
-    # than int(), and the rows share one int object per vertex.
-    known = {str(v): v for v in range(header_n or 0)}
-    try:
-        ids = list(map(known.__getitem__, tokens))
-    except KeyError:
-        ids = list(map(_vertex_id, tokens))
-        if None in ids:
-            raise _first_error(text) from None
-    del tokens  # the largest temporary; freed before the rows are built
+    ids: dict[str, int] = {}  # token -> vertex id, each checked once
+    pairs: list[tuple[int, int] | None] = []  # one per line, None off edges
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        try:
+            a, b = line.split()
+            pair = ids[a], ids[b]
+        except (ValueError, KeyError):
+            pair = None
+        if pair is None:  # not two known ids: read the line in full
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                pairs.append(None)
+                continue
+            if parts[0] == "n" and header_n is None and not any(pairs):
+                header_n = _vertex_id(parts[1]) if len(parts) == 2 else None
+                if header_n is None:
+                    raise ParseError(f"line {lineno}: malformed header {line.strip()!r}")
+                if header_n <= 0:
+                    raise ParseError(f"line {lineno}: vertex count must be positive")
+                if header_n > DEFAULT_MAX_VERTICES:
+                    raise ParseError(
+                        f"line {lineno}: vertex count {header_n} exceeds the cap "
+                        f"of {DEFAULT_MAX_VERTICES}"
+                    )
+                ids = {str(v): v for v in range(header_n)}  # the canonical ids
+                pairs.append(None)
+                continue
+            if len(parts) != 2:
+                raise ParseError(f"line {lineno}: expected '<u> <v>', got {line.strip()!r}")
+            u, v = map(_vertex_id, parts)
+            if u is None or v is None:
+                negative = any(p[:1] == "-" and _vertex_id(p[1:]) is not None for p in parts)
+                what = "negative" if negative else "non-integer"
+                raise ParseError(f"line {lineno}: {what} vertex id in {line.strip()!r}")
+            if max(u, v) >= (header_n or DEFAULT_MAX_VERTICES):
+                if header_n is None:
+                    raise ParseError(
+                        f"line {lineno}: vertex id {max(u, v)} exceeds the cap "
+                        f"of {DEFAULT_MAX_VERTICES} vertices"
+                    )
+                raise ParseError(
+                    f"line {lineno}: edge ({u}, {v}) exceeds declared vertex count {header_n}"
+                )
+            ids[parts[0]], ids[parts[1]] = u, v
+            pair = u, v
+        u, v = pair
+        if u == v:
+            raise ParseError(f"line {lineno}: self-loop {u} {v}")
+        pairs.append(pair)
     if header_n is None and not ids:
-        raise _first_error(text)  # the vertex count is unknown
-    n = header_n or 1 + max(ids)
-    if n > DEFAULT_MAX_VERTICES:
-        raise _first_error(text)
-    pairs = iter(ids)
+        raise ParseError("no edges and no 'n <N>' header: vertex count unknown")
     try:
-        return Graph.from_edges(n, zip(pairs, pairs))
+        return Graph.from_edges(header_n or 1 + max(ids.values()), filter(None, pairs))
     except GraphError:
-        raise _first_error(text) from None
+        # Every edge passed its line's checks, so the graph rejected a
+        # repeated one: name the line that repeats an earlier edge.
+        seen: set[frozenset[int]] = set()
+        for lineno, pair in enumerate(pairs, start=1):
+            if pair is not None:
+                if (key := frozenset(pair)) in seen:
+                    raise ParseError(
+                        f"line {lineno}: duplicate edge {pair[0]} {pair[1]}"
+                    ) from None
+                seen.add(key)
+        raise
 
 
 def _vertex_id(token: str) -> int | None:
@@ -202,58 +229,6 @@ def _vertex_id(token: str) -> int | None:
         return int(token)
     except ValueError:  # more digits than int() reads
         return None
-
-
-def _first_error(text: str) -> ParseError:
-    """The error for the first invalid line of ``text``, found by
-    rereading it line by line. parse_edge_list calls this only once a
-    bulk check has failed, so its own pass tracks no line numbers."""
-    header_n: int | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    saw_content = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if not saw_content and parts[0] == "n":
-            saw_content = True
-            header_n = _vertex_id(parts[1]) if len(parts) == 2 else None
-            if header_n is None:
-                return ParseError(f"line {lineno}: malformed header {line!r}")
-            if header_n <= 0:
-                return ParseError(f"line {lineno}: vertex count must be positive")
-            if header_n > DEFAULT_MAX_VERTICES:
-                return ParseError(
-                    f"line {lineno}: vertex count {header_n} exceeds the cap "
-                    f"of {DEFAULT_MAX_VERTICES}"
-                )
-            continue
-        saw_content = True
-        if len(parts) != 2:
-            return ParseError(f"line {lineno}: expected '<u> <v>', got {line!r}")
-        u, v = map(_vertex_id, parts)
-        if u is None or v is None:
-            negative = any(p[:1] == "-" and _vertex_id(p[1:]) is not None for p in parts)
-            what = "negative" if negative else "non-integer"
-            return ParseError(f"line {lineno}: {what} vertex id in {line!r}")
-        if u == v:
-            return ParseError(f"line {lineno}: self-loop {u} {v}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            return ParseError(f"line {lineno}: duplicate edge {u} {v}")
-        seen.add(key)
-        edges.append((u, v))
-    if header_n is not None:
-        for u, v in edges:
-            if u >= header_n or v >= header_n:
-                return ParseError(f"edge ({u}, {v}) exceeds declared vertex count {header_n}")
-    elif not edges:
-        return ParseError("no edges and no 'n <N>' header: vertex count unknown")
-    elif (top := max(map(max, edges))) >= DEFAULT_MAX_VERTICES:
-        return ParseError(f"vertex id {top} exceeds the cap of {DEFAULT_MAX_VERTICES} vertices")
-    raise RuntimeError("edge list failed a bulk check, but no line of it is invalid")
 
 
 def format_edge_list(g: Graph) -> str:

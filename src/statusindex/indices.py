@@ -255,18 +255,6 @@ def transmission_regular_indices(n: int, m: int, k: int) -> tuple[int, int, int,
     return s1, s2, s1_co, s2_co
 
 
-def vertex_transitive_indices(n: int, d: int, k: int) -> tuple[int, int, int, int]:
-    """(s1, s2, s1_co, s2_co) of a vertex-transitive graph with degree d
-    and transmission k; the single-block special case of the orbit
-    formulas, where s2 = n*d*k^2 / 2 is determined as well."""
-    s1 = n * d * k
-    s2 = _half_even(n * d * k * k, "n*d*k^2")
-    pairs = n * (n - 1) // 2
-    s1_co = 2 * pairs * k - n * d * k
-    s2_co = (pairs - _half_even(n * d, "n*d")) * k * k
-    return s1, s2, s1_co, s2_co
-
-
 def validate_orbit_partition(g: Graph, tp: TransmissionProfile, op: OrbitPartition) -> None:
     """Check that blocks partition V and are constant in degree and
     transmission; raises ValueError otherwise."""

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -84,6 +86,18 @@ class TestCompute:
         code, _, err = run(capsys, "compute", str(path))
         assert code == 2
         assert "cap" in err
+
+    def test_duplicate_edge_exits_2_under_optimize(self, tmp_path):
+        # the duplicate check is the graph's validation, not an assert
+        path = tmp_path / "twice.edges"
+        path.write_text("n 3\n0 1\n1 2\n\n2 1\n")
+        result = subprocess.run(
+            [sys.executable, "-O", "-m", "statusindex", "compute", str(path)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: line 5: duplicate edge 2 1\n"
 
     def test_internal_error_exits_3(self, capsys, demo5_path, monkeypatch):
         def broken(g, tp):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,6 +79,10 @@ class TestGraphValidation:
     def test_from_edges_names_the_duplicate_edge(self):
         with pytest.raises(GraphError, match=r"duplicate edge \(0, 1\)"):
             Graph.from_edges(3, [(0, 1), (1, 2), (1, 0)])
+
+    def test_constructor_names_the_equal_pair(self):
+        with pytest.raises(GraphError, match=r"^duplicate edge \(1, 2\)"):
+            Graph(3, ((1, 2), (0, 2, 2), (0, 1, 1)))
 
     @pytest.mark.parametrize("edges", [[(-1, 0)], [(0, -1)], [(-2, 0)], [(0, 1), (-1, -2)]])
     def test_from_edges_rejects_negative_id(self, edges):
@@ -211,19 +217,41 @@ class TestParseEdgeList:
     def test_parse_inverts_format(self, g):
         assert parse_edge_list(format_edge_list(g)) == g
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(EDGE_LIST_LINES), max_size=8))
-    def test_bulk_checks_agree_with_line_check(self, lines):
-        # parse_edge_list rejects a text only after its bulk checks fail,
-        # and then takes the error from the line-by-line check; that check
-        # must find an invalid line exactly when the bulk checks fail.
+    def test_every_error_names_a_line_of_the_text(self, lines):
         text = "\n".join(lines)
         try:
             parse_edge_list(text)
-        except ParseError:
-            return
-        with pytest.raises(RuntimeError):
-            graph_module._first_error(text)
+        except ParseError as exc:
+            message = str(exc)
+            if "vertex count unknown" in message:
+                assert all(not line.strip() or line.strip()[0] == "#" for line in lines)
+                return
+            match = re.match(r"line (\d+): ", message)
+            assert match, message
+            assert 1 <= int(match.group(1)) <= len(lines)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("n 2\n0 2", 2, r"edge \(0, 2\) exceeds declared vertex count 2"),
+            ("0 20000\n", 1, "vertex id 20000 exceeds the cap"),
+            ("0 1\n# c\n1 2\n0 30000\n", 4, "vertex id 30000 exceeds the cap"),
+        ],
+    )
+    def test_range_errors_name_their_line(self, text, line, message):
+        with pytest.raises(ParseError, match=f"^line {line}: {message}"):
+            parse_edge_list(text)
+
+    def test_line_errors_come_before_duplicate_edges(self):
+        with pytest.raises(ParseError, match="^line 3: expected"):
+            parse_edge_list("0 1\n1 0\n0 1 2\n")
+
+    def test_header_only_on_the_first_content_line(self):
+        assert parse_edge_list("# c\n\nn 3\n0 1\n1 2\n") == P3
+        with pytest.raises(ParseError, match="^line 2: non-integer"):
+            parse_edge_list("0 1\nn 3\n1 2\n")
 
 
 class TestComplement:

@@ -18,7 +18,6 @@ from statusindex import (
     transmission_profile,
     transmission_regular_indices,
     validate_orbit_partition,
-    vertex_transitive_indices,
     zagreb_coindices,
     zagreb_coindices_identity,
     zagreb_indices,
@@ -283,8 +282,9 @@ class TestTransmissionRegularIndices:
             assert transmission_regular_indices(g.n, g.m, tp.regular_k) == expected
 
     def test_vertex_transitive_specialization(self):
-        assert vertex_transitive_indices(5, 2, 6) == (60, 180, 60, 180)
-        assert vertex_transitive_indices(10, 3, 15) == (450, 3375, 900, 6750)
+        # a vertex-transitive graph of degree d has m = n*d/2 edges
+        assert transmission_regular_indices(5, 5 * 2 // 2, 6) == (60, 180, 60, 180)
+        assert transmission_regular_indices(10, 10 * 3 // 2, 15) == (450, 3375, 900, 6750)
 
 
 class TestOrbitIndices:
