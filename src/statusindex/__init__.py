@@ -45,6 +45,7 @@ from .indices import (
     compute_index_bundle,
     diam2_coindex_formulas,
     edge_sums,
+    nonedge_sums,
     orbit_indices,
     status_coindices_direct,
     status_coindices_identity,

@@ -10,6 +10,7 @@ Wiener index never overflow or round.
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from functools import cached_property
 from operator import lt
@@ -100,23 +101,11 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self.adjacency)
 
-    @cached_property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(nbrs) for nbrs in self.adjacency)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
         for u, nbrs in enumerate(self.adjacency):
             for v in nbrs:
                 if u < v:
-                    yield u, v
-
-    def non_edges(self) -> Iterator[tuple[int, int]]:
-        """Unordered non-adjacent pairs (u, v) with u < v."""
-        for u in range(self.n):
-            nbrs = self.neighbor_sets[u]
-            for v in range(u + 1, self.n):
-                if v not in nbrs:
                     yield u, v
 
 
@@ -140,11 +129,12 @@ class TransmissionProfile:
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text into a Graph.
 
-    Lines are blank, ``# comment``, an optional ``n <N>`` header on the
-    first content line, or an edge ``<u> <v>`` of 0-based vertex ids in
-    ASCII digits. Without a header the vertex count is one more than
-    the largest id seen. Duplicate edges and self-loops are errors, not
-    merged, and so is a vertex count above DEFAULT_MAX_VERTICES.
+    Only ``\\n``, ``\\r\\n`` and ``\\r`` end a line. Lines are blank,
+    ``# comment``, an optional ``n <N>`` header on the first content
+    line, or an edge ``<u> <v>`` of 0-based vertex ids in ASCII digits.
+    Without a header the vertex count is one more than the largest id
+    seen. Duplicate edges and self-loops are errors, not merged, and so
+    is a vertex count above DEFAULT_MAX_VERTICES.
 
     One pass checks each line as it reads it, ids against the header or
     the cap before anything of that size is allocated; each error names
@@ -154,7 +144,7 @@ def parse_edge_list(text: str) -> Graph:
     header_n: int | None = None
     ids: dict[str, int] = {}  # token -> vertex id, each checked once
     pairs: list[tuple[int, int] | None] = []  # one per line, None off edges
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         try:
             a, b = line.split()
             pair = ids[a], ids[b]
@@ -246,12 +236,14 @@ def complement(g: Graph) -> Graph:
     Total: the result may be disconnected; connectivity is the caller's
     concern (index computations reject disconnected graphs).
     """
-    nbrs = g.neighbor_sets
-    adjacency = tuple(
-        tuple(v for v in range(g.n) if v != u and v not in nbrs[u])
-        for u in range(g.n)
-    )
-    return Graph(g.n, adjacency)
+    return Graph(g.n, tuple(map(tuple, complement_rows(g))))
+
+
+def complement_rows(g: Graph) -> list[list[int]]:
+    """The sorted rows of the complement of ``g``: for each vertex, the
+    vertices other than itself that are not its neighbours."""
+    vertices = set(range(g.n))
+    return [sorted(vertices.difference(row, (u,))) for u, row in enumerate(g.adjacency)]
 
 
 def profile_from_rows(rows: Sequence[Iterable[int]]) -> TransmissionProfile:

@@ -402,15 +402,21 @@ def verify_random_suite(
 
 def default_grid() -> list[FamilySpec]:
     """The family parameter grid used by full verification runs."""
-    specs: list[FamilySpec] = [FamilySpec.hypercube(n) for n in range(1, 11)]
-    specs += [FamilySpec.kneser(p, k) for p, k in ((5, 2), (6, 2), (7, 2), (7, 3), (9, 4))]
+    specs: list[FamilySpec] = [FamilySpec.hypercube(n) for n in range(1, 14)]
+    specs += [
+        FamilySpec.kneser(p, k)
+        for p, k in ((5, 2), (6, 2), (7, 2), (7, 3), (9, 4), (10, 4), (11, 5))
+    ]
     specs += [
         FamilySpec.intersection(p, t)
         for p, t in ((3, 2), (4, 2), (5, 2), (6, 2), (6, 3), (7, 3))
     ]
     specs += [
         FamilySpec.nanotorus(p, q)
-        for p, q in ((4, 2), (2, 4), (4, 4), (6, 4), (4, 6), (8, 6))
+        for p, q in (
+            (4, 2), (2, 4), (4, 4), (6, 4), (4, 6), (8, 6),
+            (12, 10), (10, 12), (20, 16), (16, 20),
+        )
     ]
     return specs
 

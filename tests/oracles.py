@@ -70,6 +70,18 @@ def oracle_indices(adjacency) -> dict[str, int]:
     return out
 
 
+def oracle_nonedge_sums(adjacency, weights) -> tuple[int, int]:
+    """(sum of w_u + w_v, sum of w_u * w_v) over the non-adjacent pairs,
+    by pair enumeration."""
+    nbrs = [set(row) for row in adjacency]
+    total = product = 0
+    for u, v in combinations(range(len(adjacency)), 2):
+        if v not in nbrs[u]:
+            total += weights[u] + weights[v]
+            product += weights[u] * weights[v]
+    return total, product
+
+
 def subset_graph_adjacency(p: int, k: int, disjoint: bool) -> tuple[tuple[int, ...], ...]:
     """Adjacency of the k-subsets of {0..p-1} in colexicographic order,
     by definition on frozensets: two distinct subsets are adjacent iff

@@ -120,7 +120,7 @@ def test_criterion_5_family_grid_corrected():
     report = verify_grid("corrected")
     summary = report.summary()
     assert summary["hard_failures"] == 0
-    assert summary["passed"] == summary["cases"] == 162  # 27 specs x 6 quantities
+    assert summary["passed"] == summary["cases"] == 216  # 36 specs x 6 quantities
     petersen = {
         c.index_name: c.oracle
         for c in report.sorted_cases()
@@ -130,7 +130,7 @@ def test_criterion_5_family_grid_corrected():
         "sigma": 15, "wiener": 75, "s1": 450, "s2": 3375, "s1_co": 900, "s2_co": 6750,
     }
     _pass(5, "BFS values equal corrected closed forms on the whole family grid "
-             "(162/162); Petersen checkpoint 15/75/450/3375/900/6750")
+             "(216/216); Petersen checkpoint 15/75/450/3375/900/6750")
 
 
 def test_criterion_6_as_printed_mode():

@@ -248,7 +248,7 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--family", "nanotorus", "--json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["summary"]["cases"] == 36
+        assert payload["summary"]["cases"] == 60
         assert payload["summary"]["hard_failures"] == 0
         notes = {c["note"] for c in payload["cases"] if c["case"] == "nanotorus(p=4, q=2)"}
         assert any("parameter exchange" in note for note in notes)

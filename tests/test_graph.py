@@ -110,9 +110,8 @@ class TestGraphValidation:
     def test_edges_and_non_edges_partition_pairs(self):
         g = demo_graph()
         edges = set(g.edges())
-        non_edges = set(g.non_edges())
         assert edges == {(0, 1), (0, 2), (0, 4), (1, 2), (1, 4), (2, 3), (2, 4), (3, 4)}
-        assert non_edges == {(0, 3), (1, 3)}
+        assert set(complement(g).edges()) == {(0, 3), (1, 3)}
 
 
 class TestParseEdgeList:
@@ -201,6 +200,21 @@ class TestParseEdgeList:
     def test_ids_and_header_are_ascii_digits_only(self, text):
         with pytest.raises(ParseError):
             parse_edge_list(text)
+
+    @pytest.mark.parametrize("text", ["0 1\r\n1 2\r\n", "0 1\r1 2\r", "# c\r\n0 1\r1 2\n"])
+    def test_crlf_and_cr_end_lines(self, text):
+        assert parse_edge_list(text) == P3
+
+    def test_cr_lines_are_counted(self):
+        with pytest.raises(ParseError, match="^line 2: self-loop"):
+            parse_edge_list("0 1\r1 1\r")
+
+    @pytest.mark.parametrize(
+        "separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_newlines_end_a_line(self, separator):
+        with pytest.raises(ParseError, match="^line 1: expected"):
+            parse_edge_list(f"0 1{separator}1 1\n")
 
     def test_leading_zeros_are_ascii_digits(self):
         assert parse_edge_list("n 03\n00 1\n01 2\n") == P3

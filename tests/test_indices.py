@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from statusindex import (
     compute_index_bundle,
     diam2_coindex_formulas,
     edge_sums,
+    nonedge_sums,
     orbit_indices,
     status_coindices_direct,
     status_coindices_identity,
@@ -24,11 +27,12 @@ from statusindex import (
 )
 from statusindex.verify import demo_graph, random_connected_graph
 
-from oracles import oracle_indices
+from oracles import oracle_indices, oracle_nonedge_sums
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+K1 = Graph(1, ((),))
 K2 = Graph.from_edges(2, [(0, 1)])
 K4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
 K5 = Graph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
@@ -55,6 +59,40 @@ class TestEdgeSums:
     def test_asymmetric_rows_break_the_halving(self):
         with pytest.raises(ArithmeticError, match="both ends"):
             edge_sums(((1,), ()), (1, 1))
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Graphs on 1..12 vertices, connected or not, with one weight per
+    vertex: arbitrary up to 2^70 in size, all equal, or all zero."""
+    n = draw(st.integers(1, 12))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weight = st.one_of(st.integers(0, 3), st.integers(-(2**70), 2**70))
+    weights = draw(
+        st.one_of(
+            st.lists(weight, min_size=n, max_size=n),
+            weight.map(lambda w: [w] * n),
+            st.just([0] * n),
+        )
+    )
+    return Graph.from_edges(n, edges), weights
+
+
+class TestNonedgeSums:
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_graphs())
+    def test_matches_pair_enumeration(self, graph_and_weights):
+        g, weights = graph_and_weights
+        assert nonedge_sums(g.adjacency, weights) == oracle_nonedge_sums(g.adjacency, weights)
+
+    @pytest.mark.parametrize("g", [K1, K2, K4, K5], ids=["K1", "K2", "K4", "K5"])
+    def test_complete_graphs_have_no_non_edges(self, g):
+        assert nonedge_sums(g.adjacency, [2**70 + v for v in range(g.n)]) == (0, 0)
+
+    def test_path_by_hand(self):
+        # the one non-edge is 02: 1 + 3 and 1 * 3
+        assert nonedge_sums(P3.adjacency, (1, 2, 3)) == (4, 3)
 
 
 class TestStatusIndices:
@@ -101,6 +139,13 @@ class TestStatusCoindices:
         s1, s2 = status_indices(g, tp)
         s1_co, _ = status_coindices_identity(tp, s1, s2)
         assert s1_co == 2 * 4 * 15 - 60 == 60
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_graphs(max_n=12))
+    def test_direct_matches_oracle(self, g):
+        tp = transmission_profile(g)
+        expected = oracle_indices(g.adjacency)
+        assert status_coindices_direct(g, tp) == (expected["s1_co"], expected["s2_co"])
 
     @settings(max_examples=60, deadline=None)
     @given(random_graphs())

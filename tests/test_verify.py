@@ -98,7 +98,7 @@ class TestVerifyGrid:
         report = verify_grid("corrected")
         assert report.ok
         summary = report.summary()
-        assert summary["cases"] == summary["passed"] == 27 * 6
+        assert summary["cases"] == summary["passed"] == 36 * 6
         assert summary["hard_failures"] == 0
 
     def test_as_printed_grid_fails_only_on_registered_errata(self):
@@ -235,7 +235,7 @@ class TestVerificationReport:
     def test_default_grid_composition(self):
         grid = default_grid()
         kinds = [spec.kind for spec in grid]
-        assert kinds.count("hypercube") == 10
-        assert kinds.count("kneser") == 5
+        assert kinds.count("hypercube") == 13
+        assert kinds.count("kneser") == 7
         assert kinds.count("intersection") == 6
-        assert kinds.count("nanotorus") == 6
+        assert kinds.count("nanotorus") == 10
