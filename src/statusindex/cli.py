@@ -14,6 +14,7 @@ import json
 import sys
 import traceback
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from .closed_forms import INDEX_NAMES, ClosedFormReport, closed_forms_for
@@ -71,15 +72,24 @@ def _read_graph(path: str):
         return parse_edge_list(handle.read())
 
 
+def _integer(text: str) -> int:
+    """An optional ``-`` and ASCII digits; ``int`` alone also reads
+    ``+3``, ``1_0``, surrounding blanks and other scripts' digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isdigit() and digits.isascii()):
+        raise ValueError(f"invalid integer {text!r}: expected ASCII digits")
+    return int(text)
+
+
 def _parse_range(text: str) -> list[int]:
     """``a..b`` inclusive, or a single integer."""
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = _integer(lo_text), _integer(hi_text)
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
         return list(range(lo, hi + 1))
-    return [int(text)]
+    return [_integer(text)]
 
 
 _PARAM_FLAGS = ("n", "p", "q", "k", "t")
@@ -106,7 +116,7 @@ def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
         value = getattr(args, name, None)
         if value is None:
             raise FamilyError(f"family {args.family!r} needs --{name}")
-        values.append(int(value))
+        values.append(_integer(value))
     return FamilySpec(args.family, tuple(values))
 
 
@@ -227,26 +237,58 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_payload(report: VerificationReport, extra: dict[str, Any] | None = None) -> dict[str, Any]:
-    payload: dict[str, Any] = {
-        "summary": report.summary(),
-        "cases": [
-            {
-                "case": c.case_id,
-                "index": c.index_name,
-                "oracle": c.oracle,
-                "formula": c.formula,
-                "mode": c.mode,
-                "match": c.match,
-                "registered_erratum": c.registered_erratum,
-                "note": c.note,
-            }
-            for c in report.sorted_cases()
-        ],
-    }
-    if extra:
-        payload.update(extra)
-    return payload
+#: One case of a ``verify``/``identities`` report, keys sorted, exactly as
+#: ``json.dumps(..., sort_keys=True, indent=2)`` writes it in ``cases``.
+_CASE_ROW = """\
+    {
+      "case": %s,
+      "formula": %s,
+      "index": %s,
+      "match": %s,
+      "mode": %s,
+      "note": %s,
+      "oracle": %s,
+      "registered_erratum": %s
+    }"""
+
+#: Case rows formatted and written per ``stdout.write``.
+_ROWS_PER_WRITE = 4096
+
+
+def _json_int(value: int) -> str:
+    return str(value) if -_SAFE_INT <= value <= _SAFE_INT else f'"{value}"'
+
+
+def _write_report_json(report: VerificationReport, extra: dict[str, Any] | None) -> None:
+    """Write the report's JSON row by row, the bytes that
+    ``json.dumps(payload, sort_keys=True, indent=2)`` gives for
+    ``payload = {"cases": [...], "summary": ..., **extra}``, for a report
+    of at least one case. Only the small ``summary`` and ``extra`` values
+    go through ``json.dumps``."""
+    out = sys.stdout
+    enc = encode_basestring_ascii
+    sections: dict[str, Any] = {"cases": None, "summary": report.summary(), **(extra or {})}
+    cases = report.sorted_cases()
+    head = "{\n  "
+    for key in sorted(sections):
+        out.write(f"{head}{enc(key)}: ")
+        head = ",\n  "
+        if key != "cases":
+            out.write(json.dumps(sections[key], sort_keys=True, indent=2).replace("\n", "\n  "))
+            continue
+        sep = "[\n"
+        for start in range(0, len(cases), _ROWS_PER_WRITE):
+            out.write(sep + ",\n".join([
+                _CASE_ROW % (
+                    enc(c.case_id), _json_int(c.formula), enc(c.index_name),
+                    "true" if c.match else "false", enc(c.mode), enc(c.note),
+                    _json_int(c.oracle), "true" if c.registered_erratum else "false",
+                )
+                for c in cases[start:start + _ROWS_PER_WRITE]
+            ]))
+            sep = ",\n"
+        out.write("\n  ]")
+    out.write("\n}\n")
 
 
 def _print_report(report: VerificationReport, args: argparse.Namespace,
@@ -257,7 +299,7 @@ def _print_report(report: VerificationReport, args: argparse.Namespace,
         detail = f" ({skipped} invalid parameter combinations skipped)" if skipped else ""
         raise ValueError(f"no cases checked{detail}")
     if args.json:
-        _print_json(_report_payload(report, extra))
+        _write_report_json(report, extra)
     else:
         for c in report.sorted_cases():
             if c.match:
@@ -325,11 +367,10 @@ def cmd_identities(args: argparse.Namespace) -> int:
 
 
 def _add_family_arguments(parser: argparse.ArgumentParser, ranged: bool) -> None:
-    kind = str  # ranged parameters stay strings until expansion
-    for name in ("n", "p", "q", "k", "t"):
+    # parameters stay strings until _integer or _parse_range reads them
+    for name in _PARAM_FLAGS:
         parser.add_argument(
             f"--{name}",
-            type=kind if ranged else int,
             default=None,
             help=f"family parameter {name}" + (" (accepts a..b ranges)" if ranged else ""),
         )

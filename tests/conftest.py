@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from statusindex import VerificationReport, verify_grid
+
 sys.path.insert(0, str(Path(__file__).parent))  # for the oracles module
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -33,3 +35,16 @@ def c5_path() -> Path:
 @pytest.fixture
 def p4_path() -> Path:
     return DATA_DIR / "p4.edges"
+
+
+@pytest.fixture(scope="session")
+def grid_corrected() -> VerificationReport:
+    """The default grid checked once per session in corrected mode; the
+    tests that use it only read it."""
+    return verify_grid("corrected")
+
+
+@pytest.fixture(scope="session")
+def grid_as_printed() -> VerificationReport:
+    """The default grid checked once per session in as-printed mode."""
+    return verify_grid("as_printed")

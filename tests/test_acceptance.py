@@ -25,7 +25,6 @@ from statusindex import (
     status_indices,
     transmission_profile,
     verify_family,
-    verify_grid,
     verify_identities,
 )
 
@@ -116,8 +115,8 @@ def test_criterion_4_complement_bounds_suite():
              f"{checked} corpus graphs; C5 equality at 60/180, P4 strict at 26<28")
 
 
-def test_criterion_5_family_grid_corrected():
-    report = verify_grid("corrected")
+def test_criterion_5_family_grid_corrected(grid_corrected):
+    report = grid_corrected
     summary = report.summary()
     assert summary["hard_failures"] == 0
     assert summary["passed"] == summary["cases"] == 216  # 36 specs x 6 quantities
@@ -133,8 +132,8 @@ def test_criterion_5_family_grid_corrected():
              "(216/216); Petersen checkpoint 15/75/450/3375/900/6750")
 
 
-def test_criterion_6_as_printed_mode():
-    report = verify_grid("as_printed")
+def test_criterion_6_as_printed_mode(grid_as_printed):
+    report = grid_as_printed
     assert report.ok  # nothing unregistered
     mismatches = {
         (c.case_id, c.index_name): (c.formula, c.oracle)

@@ -1,13 +1,27 @@
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from statusindex import (
+    DEFAULT_SEED,
+    VerificationCase,
+    VerificationReport,
+    verify_random_suite,
+)
 from statusindex import cli
 from statusindex.cli import main
+
+#: Integers ``int()`` reads but the command line rejects: an underscore,
+#: a plus sign, Arabic-Indic digits, a blank.
+NON_ASCII_INTEGERS = ("1_0", "+3", "\u0661\u0660", " 3")
 
 
 def run(capsys, *argv):
@@ -175,8 +189,23 @@ class TestGenerate:
         assert code == 2
         assert "--p" in err
 
+    @pytest.mark.parametrize("value", NON_ASCII_INTEGERS)
+    def test_parameter_takes_ascii_digits_only(self, capsys, value):
+        code, out, err = run(capsys, "generate", "--family", "hypercube", "--n", value)
+        assert code == 2
+        assert out == ""
+        assert f"invalid integer {value!r}" in err
+
 
 class TestClosedForm:
+    @pytest.mark.parametrize("value", NON_ASCII_INTEGERS)
+    def test_parameter_takes_ascii_digits_only(self, capsys, value):
+        code, out, err = run(capsys, "closed-form", "--family", "kneser",
+                             "--p", value, "--k", "2")
+        assert code == 2
+        assert out == ""
+        assert f"invalid integer {value!r}" in err
+
     def test_corrected_hypercube(self, capsys):
         code, out, _ = run(capsys, "closed-form", "--family", "hypercube", "--n", "2")
         assert code == 0
@@ -283,6 +312,22 @@ class TestVerify:
         assert code == 2
 
 
+    @pytest.mark.parametrize("value", NON_ASCII_INTEGERS)
+    @pytest.mark.parametrize("template", ("{}", "1..{}", "{}..12"))
+    def test_range_takes_ascii_digits_only(self, capsys, template, value):
+        code, out, err = run(capsys, "verify", "--family", "hypercube",
+                             "--n", template.format(value))
+        assert code == 2
+        assert out == ""
+        assert f"invalid integer {value!r}" in err
+
+    def test_negative_range_bound_is_an_integer(self, capsys):
+        code, out, err = run(capsys, "verify", "--family", "hypercube", "--n=-1..2")
+        assert code == 0
+        assert "skipped: hypercube(n=-1)" in out
+        assert "hypercube(n=2)" in out
+
+
 class TestBounds:
     def test_five_cycle_equality(self, capsys, c5_path):
         code, out, _ = run(capsys, "bounds", str(c5_path), "--json")
@@ -336,3 +381,83 @@ class TestJsonStability:
         a = run(capsys, "verify", "--family", "intersection", "--json")[1]
         b = run(capsys, "verify", "--family", "intersection", "--json")[1]
         assert a == b
+
+
+def oracle_report_json(report: VerificationReport, extra=None) -> str:
+    """The report as ``json.dumps(indent=2)`` renders a payload dict of it:
+    the reference the row-by-row writer must equal byte for byte."""
+    payload = {
+        "summary": report.summary(),
+        "cases": [
+            {
+                "case": c.case_id,
+                "index": c.index_name,
+                "oracle": c.oracle,
+                "formula": c.formula,
+                "mode": c.mode,
+                "match": c.match,
+                "registered_erratum": c.registered_erratum,
+                "note": c.note,
+            }
+            for c in report.sorted_cases()
+        ],
+    }
+    if extra:
+        payload.update(extra)
+    return json.dumps(cli._jsonable(payload), sort_keys=True, indent=2) + "\n"
+
+
+def written_report_json(report: VerificationReport, extra=None) -> str:
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        cli._write_report_json(report, extra)
+    return buffer.getvalue()
+
+
+SAFE = 2 ** 53 - 1
+EDGE_INTEGERS = (0, SAFE, -SAFE, SAFE + 1, -SAFE - 1, 2 ** 80, -(2 ** 80))
+#: Texts JSON must escape: quotes, backslashes, control characters,
+#: non-ASCII (including a lone surrogate and U+2028), and the empty string.
+EDGE_TEXTS = ("", '"', "\\", "\x00\x1f\n\t", "K\u2084 \u2014 \u00e9", "\ud800", "\u2028")
+
+report_integers = st.one_of(st.sampled_from(EDGE_INTEGERS), st.integers(-(2 ** 80), 2 ** 80))
+report_texts = st.one_of(st.sampled_from(EDGE_TEXTS), st.text(max_size=12))
+report_cases = st.builds(
+    VerificationCase,
+    case_id=report_texts, index_name=report_texts, oracle=report_integers,
+    formula=report_integers, mode=report_texts, match=st.booleans(),
+    registered_erratum=st.booleans(), note=report_texts,
+)
+report_extras = st.one_of(
+    st.none(),
+    st.just({"skipped": []}),
+    st.lists(report_texts, min_size=1, max_size=4).map(lambda items: {"skipped": items}),
+)
+
+
+class TestReportJson:
+    @settings(max_examples=100, deadline=None)
+    @given(cases=st.lists(report_cases, min_size=1, max_size=6), extra=report_extras,
+           rows_per_write=st.integers(1, 5))
+    @example(cases=[VerificationCase("a", "s1", 2 ** 53, -(2 ** 53), "corrected", False)],
+             extra={"skipped": []}, rows_per_write=1)
+    def test_matches_json_dumps(self, cases, extra, rows_per_write):
+        report = VerificationReport(cases=cases)
+        with mock.patch.object(cli, "_ROWS_PER_WRITE", rows_per_write):
+            assert written_report_json(report, extra) == oracle_report_json(report, extra)
+
+    @pytest.mark.parametrize("value", EDGE_INTEGERS)
+    @pytest.mark.parametrize("text", EDGE_TEXTS)
+    def test_one_case(self, value, text):
+        report = VerificationReport(cases=[
+            VerificationCase(text, text, value, -value, text, value == 0, True, text),
+        ])
+        for extra in (None, {"skipped": []}, {"skipped": [text, "kneser(p=4, k=2)"]}):
+            assert written_report_json(report, extra) == oracle_report_json(report, extra)
+
+    def test_random_suite_command(self, capsys):
+        code, out, _ = run(capsys, "verify", "--json", "--family", "random",
+                           "--count", "200", "--dense")
+        assert code == 0
+        report = verify_random_suite(count=200, seed=DEFAULT_SEED, dense=True)
+        assert out == oracle_report_json(report)

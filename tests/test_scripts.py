@@ -1,9 +1,12 @@
 """Smoke tests: the scripts under scripts/ run to completion on small inputs."""
 from __future__ import annotations
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 
@@ -30,4 +33,55 @@ def test_lattice_orientation_survey():
         ("2", "6", "True", "direct"),
         ("4", "4", "True", "both"),
         ("4", "6", "True", "direct"),
+    ]
+
+
+def load_record_bench():
+    spec = importlib.util.spec_from_file_location("record_bench", SCRIPTS / "record_bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: One ``perfbench/run.py --trace 0`` output, as the runner prints it.
+RUN_OUTPUT = (
+    'env {"cpu_s": 0.841604, "list_repetitions": 1, "nproc": 2, "python": "3.11.7", '
+    '"seed": 1, "wall_s": 0.858547, "workload": "compute-dense"}\n'
+    '{"correct": true, "attempted": 21, "failed": 0, "metrics": '
+    '{"wall_ref": {"value": 3.26057, "unit": "ref"}, '
+    '"peak_rss_mb": {"value": 43.0, "unit": "MB"}}}\n'
+)
+
+
+def test_record_bench_parses_run_output():
+    entry = load_record_bench().parse_run_output(RUN_OUTPUT)
+    assert entry == {
+        "metrics": {
+            "wall_ref": {"value": 3.26057, "unit": "ref"},
+            "peak_rss_mb": {"value": 43.0, "unit": "MB"},
+        },
+        "attempted": 21,
+        "failed": 0,
+        "env": {
+            "cpu_s": 0.841604, "list_repetitions": 1, "nproc": 2, "python": "3.11.7",
+            "seed": 1, "wall_s": 0.858547, "workload": "compute-dense",
+        },
+    }
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    RUN_OUTPUT.splitlines()[1],  # no env line
+    RUN_OUTPUT.splitlines()[0],  # no result line
+    RUN_OUTPUT + RUN_OUTPUT,  # two runs
+    RUN_OUTPUT.replace('"failed": 0, ', ""),
+])
+def test_record_bench_rejects_other_output(text):
+    with pytest.raises(ValueError):
+        load_record_bench().parse_run_output(text)
+
+
+def test_record_bench_reads_the_four_workloads():
+    assert load_record_bench().workload_names() == [
+        "compute-sparse", "compute-dense", "verify-families", "checks",
     ]

@@ -15,7 +15,6 @@ from statusindex import (
     random_connected_graph,
     random_corpus,
     verify_family,
-    verify_grid,
     verify_identities,
     verify_random_suite,
 )
@@ -94,15 +93,15 @@ class TestVerifyFamily:
 
 
 class TestVerifyGrid:
-    def test_corrected_grid_is_clean(self):
-        report = verify_grid("corrected")
+    def test_corrected_grid_is_clean(self, grid_corrected):
+        report = grid_corrected
         assert report.ok
         summary = report.summary()
         assert summary["cases"] == summary["passed"] == 36 * 6
         assert summary["hard_failures"] == 0
 
-    def test_as_printed_grid_fails_only_on_registered_errata(self):
-        report = verify_grid("as_printed")
+    def test_as_printed_grid_fails_only_on_registered_errata(self, grid_as_printed):
+        report = grid_as_printed
         assert report.ok
         mismatches = {(c.case_id, c.index_name) for c in report.errata_cases()}
         families = {case.split("(")[0] for case, _ in mismatches}
