@@ -176,8 +176,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    max_vertices = _integer(args.max_vertices)
     spec = _spec_from_args(args)
-    g = generate(spec, max_vertices=args.max_vertices)
+    g = generate(spec, max_vertices=max_vertices)
     text = format_edge_list(g)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -208,13 +209,14 @@ def _closed_form_payload(report: ClosedFormReport, mode: str) -> dict[str, Any]:
 
 
 def cmd_closed_form(args: argparse.Namespace) -> int:
+    max_vertices = _integer(args.max_vertices)
     spec = _spec_from_args(args)
     if spec.kind not in CLOSED_FORM_FAMILIES:
         raise FamilyError(f"no closed forms for family {spec.kind!r}")
     wiener = None
     if spec.kind == "kneser":
         # no closed form for W: compute it on the generated graph
-        g = generate(spec, max_vertices=args.max_vertices)
+        g = generate(spec, max_vertices=max_vertices)
         wiener = transmission_profile(g).wiener
     report = closed_forms_for(spec, wiener=wiener)
     mode = "as_printed" if args.as_printed else "corrected"
@@ -324,6 +326,8 @@ def _print_report(report: VerificationReport, args: argparse.Namespace,
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    count, seed = _integer(args.count), _integer(args.seed)
+    max_vertices = _integer(args.max_vertices)
     mode = args.mode.replace("-", "_")
     given_params = [
         name for name in _PARAM_FLAGS if getattr(args, name, None) is not None
@@ -335,7 +339,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise FamilyError(
                 f"--family random takes --count/--seed/--dense, not --{given_params[0]}"
             )
-        report = verify_random_suite(count=args.count, seed=args.seed, dense=args.dense)
+        report = verify_random_suite(count=count, seed=seed, dense=args.dense)
         return _print_report(report, args)
     skipped: list[str] = []
     if args.family is None:
@@ -349,7 +353,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             specs, skipped = _specs_from_ranges(args)
         else:
             specs = [s for s in default_grid() if s.kind == args.family]
-    report = verify_grid(mode, specs, args.max_vertices)
+    report = verify_grid(mode, specs, max_vertices)
     extra = {"skipped": skipped} if skipped else None
     return _print_report(report, args, extra)
 
@@ -382,6 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact status (transmission) connectivity indices and co-indices "
         "of connected graphs, with family generators and closed-form verification.",
     )
+    # --count, --seed and --max-vertices stay strings, like the family
+    # parameters, until the command reads them with _integer
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="compute all indices of an edge-list file")
@@ -393,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("--family", required=True, choices=sorted(FAMILY_PARAMS))
     _add_family_arguments(p_generate, ranged=False)
     p_generate.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-    p_generate.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
+    p_generate.add_argument("--max-vertices", default=str(DEFAULT_MAX_VERTICES))
     p_generate.set_defaults(func=cmd_generate)
 
     p_closed = sub.add_parser("closed-form", help="evaluate a family's closed-form indices")
@@ -402,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_closed.add_argument("--as-printed", action="store_true", dest="as_printed",
                           help="show the published expressions' values")
     p_closed.add_argument("--json", action="store_true")
-    p_closed.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
+    p_closed.add_argument("--max-vertices", default=str(DEFAULT_MAX_VERTICES))
     p_closed.set_defaults(func=cmd_closed_form)
 
     p_verify = sub.add_parser(
@@ -415,13 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_arguments(p_verify, ranged=True)
     p_verify.add_argument("--mode", default="corrected",
                           choices=["corrected", "as-printed", "as_printed"])
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--count", type=int, default=200,
+    p_verify.add_argument("--seed", default=str(DEFAULT_SEED))
+    p_verify.add_argument("--count", default="200",
                           help="corpus size for --family random")
     p_verify.add_argument("--dense", action="store_true",
                           help="use the dense random corpus (diameter <= 2 coverage)")
     p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
+    p_verify.add_argument("--max-vertices", default=str(DEFAULT_MAX_VERTICES))
     p_verify.set_defaults(func=cmd_verify)
 
     p_bounds = sub.add_parser("bounds", help="complement index lower bounds for a graph file")

@@ -318,6 +318,42 @@ def verify_identities(
     return VerificationReport(cases=rows)
 
 
+def _pairs(n: int) -> list[tuple[int, int]]:
+    """The pairs u < v of ``range(n)`` in lexicographic order."""
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+def _random_edges(
+    n: int, edge_probability: float, seed: int, pairs: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The sorted edges of the seeded connected random graph on ``n``
+    vertices; ``pairs`` lists the pairs u < v in lexicographic order.
+
+    Draws one ``rng.random()`` per pair, in ``pairs`` order, then one
+    ``rng.choice`` per merge over the pairs that cross two components, in
+    the same order. Such a pair is never an edge already. The component
+    labels are updated at each union rather than rebuilt.
+    """
+    rng = random.Random(seed)
+    draw = rng.random
+    edges = [pair for pair in pairs if draw() < edge_probability]
+    label = list(range(n))
+    components = n
+    for u, v in edges:
+        a, b = label[u], label[v]
+        if a != b:
+            label = [a if x == b else x for x in label]
+            components -= 1
+    while components > 1:
+        u, v = rng.choice([(u, v) for u, v in pairs if label[u] != label[v]])
+        edges.append((u, v))
+        a, b = label[u], label[v]
+        label = [a if x == b else x for x in label]
+        components -= 1
+    edges.sort()
+    return edges
+
+
 def random_connected_graph(n: int, edge_probability: float, seed: int) -> Graph:
     """Seeded connected random graph.
 
@@ -329,39 +365,7 @@ def random_connected_graph(n: int, edge_probability: float, seed: int) -> Graph:
         raise ValueError(f"need n >= 2, got {n}")
     if not 0 < edge_probability <= 1:
         raise ValueError(f"edge probability must be in (0, 1], got {edge_probability}")
-    rng = random.Random(seed)
-    present: set[tuple[int, int]] = set()
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < edge_probability:
-                present.add((u, v))
-
-    def components() -> list[int]:
-        comp = list(range(n))
-
-        def find(x: int) -> int:
-            while comp[x] != x:
-                comp[x] = comp[comp[x]]
-                x = comp[x]
-            return x
-
-        for u, v in present:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                comp[ru] = rv
-        return [find(x) for x in range(n)]
-
-    comp = components()
-    while len(set(comp)) > 1:
-        candidates = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if comp[u] != comp[v] and (u, v) not in present
-        ]
-        present.add(rng.choice(candidates))
-        comp = components()
-    return Graph.from_edges(n, sorted(present))
+    return Graph.from_edges(n, _random_edges(n, edge_probability, seed, _pairs(n)))
 
 
 #: (n, edge probability) schedules for the seeded random corpora.
@@ -376,27 +380,52 @@ def random_corpus(count: int = 200, seed: int = DEFAULT_SEED, dense: bool = Fals
 
     The mixed corpus sweeps n in 2..10 over a spread of densities; the
     dense corpus sweeps n in 4..10 at high densities (for diameter <= 2
-    coverage).
+    coverage). Graph ``i`` is ``random_connected_graph(n, p, seed + i)``.
+    Small graphs repeat often, so each distinct edge set is built and
+    validated once and every graph that repeats it is the same object.
     """
     ns = _DENSE_NS if dense else _MIXED_NS
     probs = _DENSE_PROBS if dense else _MIXED_PROBS
+    pairs = {n: _pairs(n) for n in ns}
+    built: dict[tuple[int, tuple[tuple[int, int], ...]], Graph] = {}
     graphs = []
     for i in range(count):
         n = ns[i % len(ns)]
         probability = probs[(i // len(ns)) % len(probs)]
-        graphs.append(random_connected_graph(n, probability, seed + i))
+        edges = _random_edges(n, probability, seed + i, pairs[n])
+        key = (n, tuple(edges))
+        g = built.get(key)
+        if g is None:
+            g = built[key] = Graph.from_edges(n, edges)
+        graphs.append(g)
     return graphs
 
 
 def verify_random_suite(
     count: int = 200, seed: int = DEFAULT_SEED, dense: bool = False
 ) -> VerificationReport:
-    """Run the identity checks over a seeded random corpus."""
+    """Run the identity checks over a seeded random corpus.
+
+    The checks run once per distinct graph; a graph drawn again under a
+    later seed gets the first draw's rows under its own case id.
+    """
     report = VerificationReport()
     kind = "dense" if dense else "mixed"
+    checked: dict[tuple[tuple[int, ...], ...], list[VerificationCase]] = {}
     for i, g in enumerate(random_corpus(count=count, seed=seed, dense=dense)):
         case_id = f"random[{kind},seed={seed + i},n={g.n}]"
-        report.extend(verify_identities(g, case_id=case_id))
+        rows = checked.get(g.adjacency)
+        if rows is None:
+            rows = checked[g.adjacency] = verify_identities(g, case_id=case_id).cases
+        else:
+            rows = [
+                VerificationCase(
+                    case_id, c.index_name, c.oracle, c.formula, c.mode, c.match,
+                    c.registered_erratum, c.note,
+                )
+                for c in rows
+            ]
+        report.cases.extend(rows)
     return report
 
 

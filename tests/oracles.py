@@ -6,7 +6,10 @@ with the library's BFS / edge-iteration paths.
 """
 from __future__ import annotations
 
+import random
 from itertools import combinations
+
+from statusindex import Graph
 
 
 def fw_distances(adjacency) -> list[list[int]]:
@@ -98,3 +101,51 @@ def subset_graph_adjacency(p: int, k: int, disjoint: bool) -> tuple[tuple[int, .
         )
         for u, a in enumerate(subsets)
     )
+
+
+def reference_random_connected_graph(n: int, edge_probability: float, seed: int) -> Graph:
+    """Seeded connected random graph.
+
+    Samples each pair independently, then repeatedly adds a uniformly
+    random missing edge between two different components until the graph
+    is connected. Deterministic for a given seed.
+    """
+    # A verbatim copy of the generator that first defined the random
+    # corpora; the tests hold the library's generator to its output.
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    if not 0 < edge_probability <= 1:
+        raise ValueError(f"edge probability must be in (0, 1], got {edge_probability}")
+    rng = random.Random(seed)
+    present: set[tuple[int, int]] = set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < edge_probability:
+                present.add((u, v))
+
+    def components() -> list[int]:
+        comp = list(range(n))
+
+        def find(x: int) -> int:
+            while comp[x] != x:
+                comp[x] = comp[comp[x]]
+                x = comp[x]
+            return x
+
+        for u, v in present:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                comp[ru] = rv
+        return [find(x) for x in range(n)]
+
+    comp = components()
+    while len(set(comp)) > 1:
+        candidates = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if comp[u] != comp[v] and (u, v) not in present
+        ]
+        present.add(rng.choice(candidates))
+        comp = components()
+    return Graph.from_edges(n, sorted(present))

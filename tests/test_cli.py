@@ -196,6 +196,14 @@ class TestGenerate:
         assert out == ""
         assert f"invalid integer {value!r}" in err
 
+    @pytest.mark.parametrize("value", NON_ASCII_INTEGERS + (" 1_0",))
+    def test_max_vertices_takes_ascii_digits_only(self, capsys, value):
+        code, out, err = run(capsys, "generate", "--family", "hypercube", "--n", "2",
+                             "--max-vertices", value)
+        assert code == 2
+        assert out == ""
+        assert f"invalid integer {value!r}" in err
+
 
 class TestClosedForm:
     @pytest.mark.parametrize("value", NON_ASCII_INTEGERS)
@@ -205,6 +213,23 @@ class TestClosedForm:
         assert code == 2
         assert out == ""
         assert f"invalid integer {value!r}" in err
+
+    @pytest.mark.parametrize("family", (("hypercube", "--n", "2"),
+                                        ("kneser", "--p", "5", "--k", "2")),
+                             ids=("hypercube", "kneser"))
+    @pytest.mark.parametrize("value", NON_ASCII_INTEGERS)
+    def test_max_vertices_takes_ascii_digits_only(self, capsys, family, value):
+        code, out, err = run(capsys, "closed-form", "--family", *family,
+                             "--max-vertices", value)
+        assert code == 2
+        assert out == ""
+        assert f"invalid integer {value!r}" in err
+
+    def test_max_vertices_still_caps_kneser(self, capsys):
+        code, _, err = run(capsys, "closed-form", "--family", "kneser",
+                           "--p", "5", "--k", "2", "--max-vertices", "9")
+        assert code == 2
+        assert "cap" in err
 
     def test_corrected_hypercube(self, capsys):
         code, out, _ = run(capsys, "closed-form", "--family", "hypercube", "--n", "2")
@@ -320,6 +345,35 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert f"invalid integer {value!r}" in err
+
+    @pytest.mark.parametrize("value", NON_ASCII_INTEGERS)
+    @pytest.mark.parametrize("option", ("--count", "--seed", "--max-vertices"))
+    def test_integer_options_take_ascii_digits_only(self, capsys, option, value):
+        code, out, err = run(capsys, "verify", "--family", "random", "--count", "10",
+                             option, value)
+        assert code == 2
+        assert out == ""
+        assert f"invalid integer {value!r}" in err
+
+    def test_max_vertices_rejected_on_the_grid_too(self, capsys):
+        code, out, err = run(capsys, "verify", "--family", "hypercube", "--n", "2",
+                             "--max-vertices", "+4")
+        assert code == 2
+        assert out == ""
+        assert "invalid integer '+4'" in err
+
+    def test_integer_options_are_read(self, capsys):
+        code, out, _ = run(capsys, "verify", "--family", "random", "--json",
+                           "--count", "7", "--seed", "-3")
+        assert code == 0
+        cases = json.loads(out)["cases"]
+        assert {c["case"] for c in cases} == {
+            f"random[mixed,seed={s},n={n}]" for s, n in zip(range(-3, 4), range(2, 9))
+        }
+        code, _, err = run(capsys, "verify", "--family", "hypercube", "--n", "5",
+                           "--max-vertices", "31")
+        assert code == 2
+        assert "cap" in err
 
     def test_negative_range_bound_is_an_integer(self, capsys):
         code, out, err = run(capsys, "verify", "--family", "hypercube", "--n=-1..2")

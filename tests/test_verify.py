@@ -18,7 +18,36 @@ from statusindex import (
     verify_identities,
     verify_random_suite,
 )
+from statusindex import verify
 from statusindex.verify import fixture_errata, registered_erratum
+
+from oracles import reference_random_connected_graph
+
+#: (n values, edge probabilities) of the mixed and the dense corpus: graph
+#: i has n = ns[i % len(ns)] and p = probs[(i // len(ns)) % len(probs)].
+CORPUS_SCHEDULES = {
+    False: (tuple(range(2, 11)), (0.25, 0.4, 0.55, 0.7, 0.85)),
+    True: (tuple(range(4, 11)), (0.75, 0.85, 0.95, 1.0)),
+}
+
+
+def reference_corpus(count, seed, dense):
+    ns, probs = CORPUS_SCHEDULES[dense]
+    return [
+        reference_random_connected_graph(
+            ns[i % len(ns)], probs[(i // len(ns)) % len(probs)], seed + i
+        )
+        for i in range(count)
+    ]
+
+
+def per_graph_report(count, seed, dense):
+    """The random suite checked graph by graph, with no reuse of rows."""
+    kind = "dense" if dense else "mixed"
+    report = VerificationReport()
+    for i, g in enumerate(random_corpus(count=count, seed=seed, dense=dense)):
+        report.extend(verify_identities(g, case_id=f"random[{kind},seed={seed + i},n={g.n}]"))
+    return report
 
 
 def rows_by_index(report):
@@ -193,6 +222,72 @@ class TestRandomGraphs:
         corpus = random_corpus(count=40, seed=DEFAULT_SEED, dense=True)
         small = sum(transmission_profile(g).diameter <= 2 for g in corpus)
         assert small > 20
+
+
+class TestCorpusMatchesReference:
+    """The generator draws the same graphs as the reference copy in
+    ``tests/oracles.py``; low probabilities force many merges."""
+
+    @pytest.mark.parametrize("p", (0.05, 0.1, 0.25, 0.55, 0.85, 1.0))
+    def test_random_connected_graph(self, p):
+        for n in range(2, 13):
+            for seed in range(40):
+                expected = reference_random_connected_graph(n, p, seed).adjacency
+                assert random_connected_graph(n, p, seed).adjacency == expected, (n, seed)
+
+    @pytest.mark.parametrize("dense", (False, True))
+    @pytest.mark.parametrize("seed", (3, 501))
+    def test_corpus(self, dense, seed):
+        corpus = random_corpus(count=2000, seed=seed, dense=dense)
+        expected = reference_corpus(2000, seed, dense)
+        assert [g.adjacency for g in corpus] == [g.adjacency for g in expected]
+
+
+class TestCorpusDedupe:
+    @pytest.mark.parametrize("dense", (False, True))
+    def test_validates_each_distinct_graph_once(self, dense):
+        calls = []
+        validate = Graph.__post_init__
+
+        def counted(g):
+            calls.append(g.adjacency)
+            validate(g)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Graph, "__post_init__", counted)
+            corpus = random_corpus(count=1000, seed=DEFAULT_SEED, dense=dense)
+        assert len(calls) == len(set(calls)) == len({g.adjacency for g in corpus})
+        assert len(calls) < len(corpus)
+
+    @pytest.mark.parametrize("dense", (False, True))
+    @pytest.mark.parametrize("seed", (7, DEFAULT_SEED))
+    def test_suite_equals_per_graph_checks(self, dense, seed):
+        count = 800
+        report = verify_random_suite(count=count, seed=seed, dense=dense)
+        expected = per_graph_report(count, seed, dense)
+        assert report.cases == expected.cases
+        assert report.summary() == expected.summary()
+        kind = "dense" if dense else "mixed"
+        ns = CORPUS_SCHEDULES[dense][0]
+        assert {c.case_id for c in report.cases} == {
+            f"random[{kind},seed={seed + k},n={ns[k % len(ns)]}]" for k in range(count)
+        }
+
+    @pytest.mark.parametrize("dense", (False, True))
+    def test_checks_each_distinct_graph_once(self, dense):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = []
+            check = verify.verify_identities
+
+            def counted(g, **kwargs):
+                calls.append(g.adjacency)
+                return check(g, **kwargs)
+
+            mp.setattr(verify, "verify_identities", counted)
+            report = verify_random_suite(count=700, seed=DEFAULT_SEED, dense=dense)
+        corpus = random_corpus(count=700, seed=DEFAULT_SEED, dense=dense)
+        assert len(calls) == len(set(calls)) == len({g.adjacency for g in corpus})
+        assert report.summary()["cases"] > len(calls)
 
 
 class TestVerifyRandomSuite:
