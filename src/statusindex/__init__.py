@@ -31,7 +31,6 @@ from .graph import (
     GraphError,
     ParseError,
     TransmissionProfile,
-    complement,
     format_edge_list,
     parse_edge_list,
     transmission_profile,

@@ -209,16 +209,7 @@ def _closed_form_payload(report: ClosedFormReport, mode: str) -> dict[str, Any]:
 
 
 def cmd_closed_form(args: argparse.Namespace) -> int:
-    max_vertices = _integer(args.max_vertices)
-    spec = _spec_from_args(args)
-    if spec.kind not in CLOSED_FORM_FAMILIES:
-        raise FamilyError(f"no closed forms for family {spec.kind!r}")
-    wiener = None
-    if spec.kind == "kneser":
-        # no closed form for W: compute it on the generated graph
-        g = generate(spec, max_vertices=max_vertices)
-        wiener = transmission_profile(g).wiener
-    report = closed_forms_for(spec, wiener=wiener)
+    report = closed_forms_for(_spec_from_args(args))
     mode = "as_printed" if args.as_printed else "corrected"
     if args.json:
         _print_json(_closed_form_payload(report, mode))
@@ -408,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_closed.add_argument("--as-printed", action="store_true", dest="as_printed",
                           help="show the published expressions' values")
     p_closed.add_argument("--json", action="store_true")
-    p_closed.add_argument("--max-vertices", default=str(DEFAULT_MAX_VERTICES))
     p_closed.set_defaults(func=cmd_closed_form)
 
     p_verify = sub.add_parser(

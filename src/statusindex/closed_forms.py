@@ -142,19 +142,26 @@ def hypercube_closed_forms(n: int) -> ClosedFormReport:
     return _corrected_report(spec, size, m, n, k, printed)
 
 
-def kneser_closed_forms(p: int, k: int, wiener: int) -> ClosedFormReport:
-    """Indices of the Kneser graph from its (externally computed) Wiener
-    index.
+def kneser_distance(p: int, k: int, s: int) -> int:
+    """Distance between two k-subsets of a p-set that share s elements
+    (Valencia-Pabon and Vera, "On the diameter of Kneser graphs",
+    Discrete Math. 305, 2005). p - 2k is below 1 only for K1 = kneser(1, 1)
+    and K2 = kneser(2, 1); a gap of 1 gives their distances, 0 and 1."""
+    gap = max(p - 2 * k, 1)
+    return min(2 * -(-(k - s) // gap), 2 * -(-s // gap) + 1)
 
-    No closed form for W exists here; callers obtain it by BFS on the
-    generated graph. Non-integral intermediates mean ``wiener`` is
-    inconsistent with (p, k).
-    """
+
+def kneser_closed_forms(p: int, k: int) -> ClosedFormReport:
+    """Indices of the Kneser graph. The transmission sums the subset
+    distance over the C(k,s) * C(p-k,k-s) subsets that share s elements
+    with a given one; W = C(p,k) * sigma / 2 feeds the published
+    expressions, which are written in W."""
     spec = FamilySpec.kneser(p, k)
     n = comb(p, k)
     degree = comb(p - k, k)
     m = _exact_div(n * degree, 2, "kneser edge count")
-    sigma = _exact_div(2 * wiener, n, "kneser transmission 2W/C(p,k)")
+    sigma = sum(comb(k, s) * comb(p - k, k - s) * kneser_distance(p, k, s) for s in range(k))
+    wiener = _exact_div(n * sigma, 2, "kneser Wiener index C(p,k)*sigma/2")
     s2 = degree * _exact_div(2 * wiener * wiener, n, "kneser 2W^2/C(p,k)")
     printed = {
         "s1": 2 * wiener * degree,
@@ -205,8 +212,8 @@ def nanotorus_closed_forms(p: int, q: int) -> ClosedFormReport:
     return report
 
 
-def closed_forms_for(spec: FamilySpec, wiener: int | None = None) -> ClosedFormReport:
-    """Dispatch to the family's closed forms; kneser requires ``wiener``."""
+def closed_forms_for(spec: FamilySpec) -> ClosedFormReport:
+    """Dispatch to the family's closed forms."""
     if spec.kind == "hypercube":
         return hypercube_closed_forms(spec.params[0])
     if spec.kind == "intersection":
@@ -214,7 +221,5 @@ def closed_forms_for(spec: FamilySpec, wiener: int | None = None) -> ClosedFormR
     if spec.kind == "nanotorus":
         return nanotorus_closed_forms(*spec.params)
     if spec.kind == "kneser":
-        if wiener is None:
-            raise ValueError("kneser closed forms need the Wiener index (computed by BFS)")
-        return kneser_closed_forms(spec.params[0], spec.params[1], wiener)
+        return kneser_closed_forms(*spec.params)
     raise ValueError(f"no closed forms for family {spec.kind!r}")

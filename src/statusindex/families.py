@@ -226,7 +226,6 @@ def _complete(n: int) -> Graph:
 
 def generate(spec: FamilySpec, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
     """Build the graph for ``spec``; raises VertexCapError above the cap."""
-    validate(spec)
     order = expected_order(spec)
     if order > max_vertices:
         raise VertexCapError(

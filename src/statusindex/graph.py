@@ -230,15 +230,6 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def complement(g: Graph) -> Graph:
-    """The complement graph: uv is an edge iff it is not one in ``g``.
-
-    Total: the result may be disconnected; connectivity is the caller's
-    concern (index computations reject disconnected graphs).
-    """
-    return Graph(g.n, tuple(map(tuple, complement_rows(g))))
-
-
 def complement_rows(g: Graph) -> list[list[int]]:
     """The sorted rows of the complement of ``g``: for each vertex, the
     vertices other than itself that are not its neighbours."""

@@ -85,6 +85,15 @@ def oracle_nonedge_sums(adjacency, weights) -> tuple[int, int]:
     return total, product
 
 
+def complement(g: Graph) -> Graph:
+    """The complement graph by pair enumeration: uv is an edge iff it is
+    not one in ``g``. The result may be disconnected."""
+    present = {(u, v) for u, row in enumerate(g.adjacency) for v in row}
+    return Graph.from_edges(
+        g.n, [pair for pair in combinations(range(g.n), 2) if pair not in present]
+    )
+
+
 def subset_graph_adjacency(p: int, k: int, disjoint: bool) -> tuple[tuple[int, ...], ...]:
     """Adjacency of the k-subsets of {0..p-1} in colexicographic order,
     by definition on frozensets: two distinct subsets are adjacent iff

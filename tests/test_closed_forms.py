@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from itertools import combinations
+from math import comb
+
 import pytest
 
 from statusindex import (
@@ -10,10 +13,10 @@ from statusindex import (
     intersection_closed_forms,
     kneser_closed_forms,
     nanotorus_closed_forms,
-    transmission_profile,
 )
+from statusindex.closed_forms import kneser_distance
 
-from oracles import oracle_indices, oracle_profile
+from oracles import fw_distances, oracle_indices, oracle_profile, subset_graph_adjacency
 
 
 def corrected(report):
@@ -82,27 +85,28 @@ class TestHypercubeClosedForms:
 
 class TestKneserClosedForms:
     def test_petersen_by_substitution(self):
-        report = kneser_closed_forms(5, 2, wiener=75)
+        report = kneser_closed_forms(5, 2)
         assert (report.n, report.m, report.degree, report.sigma) == (10, 15, 3, 15)
         assert corrected(report) == {"s1": 450, "s2": 3375, "s1_co": 900, "s2_co": 6750}
 
     def test_petersen_printed_s2_co_erratum(self):
-        report = kneser_closed_forms(5, 2, wiener=75)
+        report = kneser_closed_forms(5, 2)
         assert printed(report)["s2_co"] == 2 * 75 * 75 - 75 - 3375 == 7800
         assert report.errata() == ("s2_co",)
 
     def test_complete_graph_degeneration(self):
         # kneser(n, 1) is the complete graph; s1 = n(n-1)^2 and co-indices vanish
         for n in (2, 3, 4, 6):
-            wiener = n * (n - 1) // 2
-            report = kneser_closed_forms(n, 1, wiener=wiener)
+            report = kneser_closed_forms(n, 1)
             assert corrected(report)["s1"] == n * (n - 1) ** 2
             assert corrected(report)["s1_co"] == 0
             assert corrected(report)["s2_co"] == 0
 
-    def test_inconsistent_wiener_rejected(self):
-        with pytest.raises(ValueError, match="not an integer"):
-            kneser_closed_forms(5, 2, wiener=76)
+    def test_single_vertex_has_no_closed_forms(self):
+        # kneser(1, 1) is K1: its transmission is 0
+        assert kneser_distance(1, 1, 1) == 0
+        with pytest.raises(ValueError, match="transmission k must be positive"):
+            kneser_closed_forms(1, 1)
 
 
 class TestNanotorusClosedForms:
@@ -149,10 +153,6 @@ class TestInvariantChecks:
 
 
 class TestDispatcher:
-    def test_kneser_needs_wiener(self):
-        with pytest.raises(ValueError, match="Wiener"):
-            closed_forms_for(FamilySpec.kneser(5, 2))
-
     def test_no_closed_forms_for_basic_families(self):
         with pytest.raises(ValueError, match="no closed forms"):
             closed_forms_for(FamilySpec.path(4))
@@ -160,6 +160,7 @@ class TestDispatcher:
     def test_dispatch_matches_direct_calls(self):
         assert closed_forms_for(FamilySpec.hypercube(3)) == hypercube_closed_forms(3)
         assert closed_forms_for(FamilySpec.nanotorus(4, 4)) == nanotorus_closed_forms(4, 4)
+        assert closed_forms_for(FamilySpec.kneser(7, 3)) == kneser_closed_forms(7, 3)
 
 
 # the independent oracle re-derives the corrected values for every spec
@@ -180,7 +181,7 @@ def test_corrected_closed_forms_match_oracle(spec):
     g = generate(spec)
     sigma, wiener, _ = oracle_profile(g.adjacency)
     expected = oracle_indices(g.adjacency)
-    report = closed_forms_for(spec, wiener=wiener)
+    report = closed_forms_for(spec)
     assert report.n == g.n
     assert report.m == g.m
     assert set(g.degrees) == {report.degree}
@@ -194,11 +195,28 @@ def test_corrected_closed_forms_satisfy_identities():
     # the identity consistency is asserted inside the constructor; this
     # exercises it over a wider sweep, including large values
     for spec in ORACLE_SPECS + [FamilySpec.hypercube(n) for n in range(6, 16)]:
-        wiener = None
-        if spec.kind == "kneser":
-            wiener = transmission_profile(generate(spec)).wiener
-        report = closed_forms_for(spec, wiener=wiener)
+        report = closed_forms_for(spec)
         n, k = report.n, report.sigma
         s1 = report.indices["s1"].corrected
         s1_co = report.indices["s1_co"].corrected
         assert s1_co == 2 * (n - 1) * report.wiener - s1
+
+
+# every connected Kneser graph small enough for Floyd-Warshall, and the
+# complete graphs kneser(p, 1) for 2 <= p <= 12
+KNESER_DISTANCE_SPECS = [
+    (p, k) for p in range(5, 17) for k in range(2, (p + 1) // 2) if comb(p, k) <= 120
+] + [(p, 1) for p in range(2, 13)]
+
+
+@pytest.mark.parametrize("p, k", KNESER_DISTANCE_SPECS)
+def test_kneser_distance_formula_matches_floyd_warshall(p, k):
+    subsets = [frozenset(s) for s in combinations(range(p), k)]
+    subsets.sort(key=lambda s: sorted(s, reverse=True))  # colex, as the oracle orders them
+    dist = fw_distances(subset_graph_adjacency(p, k, disjoint=True))
+    for u, a in enumerate(subsets):
+        for v, b in enumerate(subsets):
+            assert dist[u][v] == kneser_distance(p, k, len(a & b)), (u, v)
+    report = kneser_closed_forms(p, k)
+    assert set(map(sum, dist)) == {report.sigma}
+    assert 2 * report.wiener == sum(map(sum, dist))

@@ -7,14 +7,13 @@ from statusindex import (
     FamilySpec,
     Graph,
     VertexCapError,
-    complement,
     format_edge_list,
     generate,
     transmission_profile,
 )
 from statusindex.families import colex_subsets, expected_order
 
-from oracles import oracle_profile, subset_graph_adjacency
+from oracles import complement, oracle_profile, subset_graph_adjacency
 
 
 class TestFamilySpec:

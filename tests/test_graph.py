@@ -11,7 +11,6 @@ from statusindex import (
     Graph,
     GraphError,
     ParseError,
-    complement,
     format_edge_list,
     parse_edge_list,
     transmission_profile,
@@ -19,7 +18,7 @@ from statusindex import (
 from statusindex import graph as graph_module
 from statusindex.verify import demo_graph, random_connected_graph
 
-from oracles import oracle_profile
+from oracles import complement, oracle_profile
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -289,6 +288,12 @@ class TestComplement:
     @given(random_graphs())
     def test_involution(self, g):
         assert complement(complement(g)) == g
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_graphs())
+    def test_complement_rows_match_the_oracle(self, g):
+        rows = graph_module.complement_rows(g)
+        assert tuple(map(tuple, rows)) == complement(g).adjacency
 
 
 class TestTransmissionProfile:

@@ -10,6 +10,7 @@ from statusindex import (
     Graph,
     VerificationCase,
     VerificationReport,
+    VertexCapError,
     default_grid,
     demo_graph,
     random_connected_graph,
@@ -119,6 +120,15 @@ class TestVerifyFamily:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             verify_family(FamilySpec.hypercube(2), mode="printed")
+
+    def test_checks_the_vertex_cap_before_the_closed_forms(self, monkeypatch):
+        # the closed forms of hypercube(n) have about 3n bits
+        def unreachable(spec):
+            raise AssertionError("closed forms evaluated above the vertex cap")
+
+        monkeypatch.setattr(verify, "closed_forms_for", unreachable)
+        with pytest.raises(VertexCapError):
+            verify_family(FamilySpec.hypercube(10 ** 4))
 
 
 class TestVerifyGrid:
