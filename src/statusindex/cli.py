@@ -12,12 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
-from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
-from .closed_forms import INDEX_NAMES, ClosedFormReport, closed_forms_for
+from .closed_forms import ClosedFormReport, closed_forms_for
 from .families import (
     CLOSED_FORM_FAMILIES,
     DEFAULT_MAX_VERTICES,
@@ -40,16 +38,29 @@ from .verify import (
 _SAFE_INT = 2 ** 53 - 1
 
 
-def _jsonable(value: Any) -> Any:
-    """Rewrite ints beyond the 53-bit safe range as decimal strings."""
+def _jsonable(value: Any, where: str = "") -> Any:
+    """Rewrite ints beyond the 53-bit safe range as decimal strings. An
+    int with more digits than Python writes as text raises ValueError
+    naming ``where``, its dotted key path."""
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
-        return value if -_SAFE_INT <= value <= _SAFE_INT else str(value)
+        if -_SAFE_INT <= value <= _SAFE_INT:
+            return value
+        try:
+            return str(value)
+        except ValueError:
+            raise ValueError(
+                f"{where} has more than {sys.get_int_max_str_digits()} digits, "
+                "the limit for writing an integer as text"
+            ) from None
     if isinstance(value, dict):
-        return {key: _jsonable(inner) for key, inner in value.items()}
+        return {
+            key: _jsonable(inner, f"{where}.{key}" if where else key)
+            for key, inner in value.items()
+        }
     if isinstance(value, (list, tuple)):
-        return [_jsonable(inner) for inner in value]
+        return [_jsonable(inner, where) for inner in value]
     return value
 
 
@@ -169,7 +180,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         "diameter": tp.diameter,
         "transmission": list(tp.sigma),
         "transmission_regular_k": tp.regular_k,
-        **asdict(compute_index_bundle(g, tp)),
+        **compute_index_bundle(g, tp)._asdict(),
     }
     _print_payload(payload, args, _COMPUTE_KEYS)
     return 0
@@ -190,43 +201,34 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def _closed_form_payload(report: ClosedFormReport, mode: str) -> dict[str, Any]:
     return {
+        **report._asdict(),
         "family": report.family.label(),
         "mode": mode,
-        "n": report.n,
-        "m": report.m,
-        "degree": report.degree,
-        "sigma": report.sigma,
-        "wiener": report.wiener,
         "indices": {
-            name: {
-                "corrected": report.indices[name].corrected,
-                "as_printed": report.indices[name].as_printed,
-                "erratum": report.indices[name].erratum,
-            }
-            for name in INDEX_NAMES
+            name: {**value._asdict(), "erratum": value.erratum}
+            for name, value in report.indices.items()
         },
     }
+
+
+#: Text-output order of the closed-form fields before the indices.
+_CLOSED_FORM_KEYS = ("family", "n", "m", "degree", "sigma", "wiener")
 
 
 def cmd_closed_form(args: argparse.Namespace) -> int:
     report = closed_forms_for(_spec_from_args(args))
     mode = "as_printed" if args.as_printed else "corrected"
+    # every value is formatted before anything is written
+    payload = _jsonable(_closed_form_payload(report, mode))
     if args.json:
-        _print_json(_closed_form_payload(report, mode))
+        _print_json(payload)
         return 0
-    print(f"family: {report.family.label()}")
-    print(f"n: {report.n}")
-    print(f"m: {report.m}")
-    print(f"degree: {report.degree}")
-    print(f"sigma: {report.sigma}")
-    print(f"wiener: {report.wiener}")
-    for name in INDEX_NAMES:
-        value = report.indices[name]
-        suffix = ""
-        if value.erratum:
-            other = "corrected" if mode == "as_printed" else "as printed"
-            suffix = f"  (erratum: {other} {value.value('corrected' if mode == 'as_printed' else 'as_printed')})"
-        print(f"{name}: {value.value(mode)}{suffix}")
+    other = "corrected" if mode == "as_printed" else "as_printed"
+    lines = [f"{key}: {payload[key]}" for key in _CLOSED_FORM_KEYS]
+    for name, value in payload["indices"].items():
+        suffix = f"  (erratum: {other.replace('_', ' ')} {value[other]})" if value["erratum"] else ""
+        lines.append(f"{name}: {value[mode]}{suffix}")
+    print("\n".join(lines))
     return 0
 
 
@@ -351,7 +353,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     g = _read_graph(args.path)
-    _print_payload(asdict(complement_bounds(g)), args, _BOUNDS_KEYS)
+    _print_payload(complement_bounds(g)._asdict(), args, _BOUNDS_KEYS)
     return 0
 
 
@@ -449,6 +451,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        import traceback  # only this path needs it; importing it costs start-up
+
         traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

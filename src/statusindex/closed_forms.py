@@ -10,8 +10,8 @@ division never truncates silently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .families import FamilySpec
 from .indices import transmission_regular_indices
@@ -19,8 +19,7 @@ from .indices import transmission_regular_indices
 INDEX_NAMES = ("s1", "s2", "s1_co", "s2_co")
 
 
-@dataclass(frozen=True)
-class FormulaValue:
+class FormulaValue(NamedTuple):
     """One index in both evaluation modes."""
 
     corrected: int
@@ -38,8 +37,7 @@ class FormulaValue:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class ClosedFormReport:
+class ClosedFormReport(NamedTuple):
     """Closed-form structure constants and index values for one family
     member. ``sigma`` and ``wiener`` have no corrected/printed split;
     their published expressions agree with the regularity identities."""

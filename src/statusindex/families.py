@@ -7,7 +7,6 @@ adjacency lists.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, compress
 from math import comb
 from operator import not_
@@ -37,22 +36,45 @@ class VertexCapError(FamilyError):
     """Requested graph exceeds the vertex cap."""
 
 
-@dataclass(frozen=True)
 class FamilySpec:
-    """A graph family tagged with its integer parameters."""
+    """A graph family tagged with its integer parameters. Immutable, and
+    validated on construction; copies and unpickled specs are rebuilt
+    through ``__init__`` and validated too."""
+
+    __slots__ = ("kind", "params")
 
     kind: str
     params: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.kind not in FAMILY_PARAMS:
-            raise FamilyError(f"unknown family {self.kind!r}")
-        names = FAMILY_PARAMS[self.kind]
-        if len(self.params) != len(names):
-            raise FamilyError(
-                f"{self.kind} takes parameters {names}, got {self.params}"
-            )
+    def __init__(self, kind: str, params: tuple[int, ...]) -> None:
+        if kind not in FAMILY_PARAMS:
+            raise FamilyError(f"unknown family {kind!r}")
+        names = FAMILY_PARAMS[kind]
+        if len(params) != len(names):
+            raise FamilyError(f"{kind} takes parameters {names}, got {params}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
         validate(self)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable FamilySpec")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable FamilySpec")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.params == other.params
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.params))
+
+    def __repr__(self) -> str:
+        return f"FamilySpec(kind={self.kind!r}, params={self.params!r})"
+
+    def __reduce__(self) -> tuple[type[FamilySpec], tuple[str, tuple[int, ...]]]:
+        return self.__class__, (self.kind, self.params)
 
     def label(self) -> str:
         inner = ", ".join(
@@ -150,6 +172,26 @@ def expected_order(spec: FamilySpec) -> int:
     return params[0]
 
 
+def above_cap(spec: FamilySpec, cap: int) -> bool:
+    """Whether generate(spec) has more than ``cap`` vertices, decided
+    without forming an order far above the cap: ``2**n`` is compared by
+    bit length, and a binomial is built from its partial products, which
+    only grow, until one passes the cap."""
+    kind, params = spec.kind, spec.params
+    if kind == "hypercube":
+        return params[0] >= max(cap, 0).bit_length()
+    if kind in ("kneser", "intersection"):
+        p, k = params
+        k = min(k, p - k)
+        order = 1
+        for i in range(1, k + 1):
+            order = order * (p - k + i) // i  # C(p - k + i, i)
+            if order > cap:
+                return True
+        return order > cap
+    return expected_order(spec) > cap
+
+
 def colex_subsets(p: int, k: int) -> list[tuple[int, ...]]:
     """All k-subsets of {0..p-1} in colexicographic order."""
     return sorted(combinations(range(p), k), key=lambda s: s[::-1])
@@ -226,10 +268,9 @@ def _complete(n: int) -> Graph:
 
 def generate(spec: FamilySpec, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
     """Build the graph for ``spec``; raises VertexCapError above the cap."""
-    order = expected_order(spec)
-    if order > max_vertices:
+    if above_cap(spec, max_vertices):
         raise VertexCapError(
-            f"{spec.label()} has {order} vertices, above the cap {max_vertices}"
+            f"{spec.label()} has more vertices than the cap of {max_vertices}"
         )
     kind, params = spec.kind, spec.params
     if kind == "hypercube":

@@ -11,10 +11,8 @@ Wiener index never overflow or round.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
-from functools import cached_property
 from operator import lt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 #: Largest vertex count that parsing and generation accept by default.
 DEFAULT_MAX_VERTICES = 20_000
@@ -37,15 +35,26 @@ class DisconnectedGraphError(GraphError):
     """A computation that needs a connected graph got a disconnected one."""
 
 
-@dataclass(frozen=True)
 class Graph:
     """Immutable undirected simple graph as sorted adjacency lists.
 
-    ``adjacency[u]`` is the sorted tuple of neighbors of vertex ``u``.
+    ``adjacency[u]`` is the sorted tuple of neighbors of vertex ``u``;
+    ``degrees[u]`` is its length and ``m`` the number of edges. Every
+    instance, copies and unpickled ones included, is built by
+    ``__init__`` and so passes ``__post_init__``.
     """
+
+    __slots__ = ("n", "adjacency", "degrees")
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
+    degrees: tuple[int, ...]
+
+    def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adjacency", adjacency)
+        self.__post_init__()
+        object.__setattr__(self, "degrees", tuple(map(len, adjacency)))
 
     def __post_init__(self) -> None:
         n, rows = self.n, self.adjacency
@@ -91,15 +100,31 @@ class Graph:
             row.sort()
         return cls(n, tuple(map(tuple, rows)))
 
-    @cached_property
+    @property
     def m(self) -> int:
         """Number of edges."""
-        half = sum(len(nbrs) for nbrs in self.adjacency)
-        return half // 2
+        return sum(self.degrees) // 2
 
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.adjacency)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Graph")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Graph")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.adjacency == other.adjacency
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adjacency))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, adjacency={self.adjacency!r})"
+
+    def __reduce__(self) -> tuple[type[Graph], tuple[int, tuple[tuple[int, ...], ...]]]:
+        # copy, deepcopy and pickle rebuild through __init__, so they validate
+        return self.__class__, (self.n, self.adjacency)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
@@ -109,8 +134,7 @@ class Graph:
                     yield u, v
 
 
-@dataclass(frozen=True)
-class TransmissionProfile:
+class TransmissionProfile(NamedTuple):
     """Per-vertex status values plus the derived distance invariants.
 
     ``sigma[u]`` is the transmission (status) of ``u``: the sum of

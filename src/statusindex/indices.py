@@ -7,8 +7,7 @@ first, checking evenness, then halving.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graph import (
     DisconnectedGraphError,
@@ -20,8 +19,7 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class IndexBundle:
+class IndexBundle(NamedTuple):
     """The eight edge/non-edge indices plus the Wiener index."""
 
     s1: int
@@ -35,8 +33,7 @@ class IndexBundle:
     wiener: int
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Lower bounds for the status indices of a connected complement.
 
     ``equality`` records whether both bounds are attained, which happens
@@ -51,8 +48,7 @@ class BoundsReport:
     complement_diameter: int
 
 
-@dataclass(frozen=True)
-class Diam2Formulas:
+class Diam2Formulas(NamedTuple):
     """The four diameter-<=2 co-index formulas.
 
     One pair expresses the status co-indices through the Zagreb indices
@@ -66,8 +62,7 @@ class Diam2Formulas:
     s2_co_from_zagreb_co: int
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(NamedTuple):
     """A partition of the vertex set into blocks of equivalent vertices.
 
     Valid blocks have constant degree and constant transmission; that

@@ -9,7 +9,7 @@ a hard failure too.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .closed_forms import INDEX_NAMES, ClosedFormReport, closed_forms_for
 from .families import DEFAULT_MAX_VERTICES, FamilySpec, generate
@@ -31,8 +31,7 @@ MODES = ("corrected", "as_printed")
 DEMO_TAG = "demo5"
 
 
-@dataclass(frozen=True)
-class Erratum:
+class Erratum(NamedTuple):
     """One published value known to contradict the defining sums."""
 
     key: str
@@ -95,8 +94,7 @@ def demo_graph() -> Graph:
     )
 
 
-@dataclass(frozen=True)
-class VerificationCase:
+class VerificationCase(NamedTuple):
     """One oracle-vs-formula comparison."""
 
     case_id: str
@@ -113,11 +111,23 @@ class VerificationCase:
         return not self.match and not self.registered_erratum
 
 
-@dataclass
 class VerificationReport:
     """An order-insensitive collection of verification cases."""
 
-    cases: list[VerificationCase] = field(default_factory=list)
+    __slots__ = ("cases",)
+
+    def __init__(self, cases: list[VerificationCase] | None = None) -> None:
+        self.cases: list[VerificationCase] = [] if cases is None else cases
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.cases == other.cases
+
+    __hash__ = None  # mutable, like its list of cases
+
+    def __repr__(self) -> str:
+        return f"VerificationReport(cases={self.cases!r})"
 
     def extend(self, other: VerificationReport) -> None:
         self.cases.extend(other.cases)
@@ -420,13 +430,7 @@ def verify_random_suite(
         if rows is None:
             rows = checked[g.adjacency] = verify_identities(g, case_id=case_id).cases
         else:
-            rows = [
-                VerificationCase(
-                    case_id, c.index_name, c.oracle, c.formula, c.mode, c.match,
-                    c.registered_erratum, c.note,
-                )
-                for c in rows
-            ]
+            rows = [VerificationCase(case_id, *c[1:]) for c in rows]  # new case_id
         report.cases.extend(rows)
     return report
 

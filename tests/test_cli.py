@@ -205,6 +205,17 @@ class TestGenerate:
         assert f"invalid integer {value!r}" in err
 
 
+@pytest.fixture
+def digit_limit():
+    """Python's default limit of 4300 digits for int-to-text conversion."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
 class TestClosedForm:
     @pytest.mark.parametrize("value", NON_ASCII_INTEGERS)
     def test_parameter_takes_ascii_digits_only(self, capsys, value):
@@ -258,6 +269,29 @@ class TestClosedForm:
         payload = json.loads(out)
         assert payload["indices"]["s2"]["corrected"] == str(15 ** 3 * 2 ** 42)
         assert isinstance(payload["indices"]["s1"]["corrected"], int)
+
+    @pytest.mark.parametrize("flags", ([], ["--json"], ["--as-printed"]))
+    def test_value_over_the_digit_limit_writes_nothing(self, capsys, digit_limit, flags):
+        # hypercube(5000): s2 = 5000^3 * 2^14997 has 4526 digits
+        code, out, err = run(capsys, "closed-form", "--family", "hypercube",
+                             "--n", "5000", *flags)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: indices.s2.corrected has more than 4300 digits, "
+                       "the limit for writing an integer as text\n")
+
+    def test_json_payload_fields(self, capsys):
+        code, out, _ = run(capsys, "closed-form", "--family", "nanotorus",
+                           "--p", "8", "--q", "6", "--json", "--as-printed")
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"family", "mode", "n", "m", "degree", "sigma", "wiener",
+                                "indices"}
+        assert (payload["family"], payload["mode"]) == ("nanotorus(p=8, q=6)", "as_printed")
+        assert list(payload["indices"]) == ["s1", "s1_co", "s2", "s2_co"]
+        for value in payload["indices"].values():
+            assert list(value) == ["as_printed", "corrected", "erratum"]
+            assert value["erratum"] is (value["as_printed"] != value["corrected"])
 
     def test_no_closed_forms_for_path(self, capsys):
         # the parser itself restricts --family choices and exits with 2
@@ -344,6 +378,19 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert f"invalid integer {value!r}" in err
+
+    @pytest.mark.parametrize("argv", (
+        ("generate", "--family", "hypercube", "--n", "20000"),
+        ("verify", "--family", "hypercube", "--n", "20000"),
+        ("generate", "--family", "kneser", "--p", "1000000", "--k", "400000"),
+        ("verify", "--family", "kneser", "--p", "1000000", "--k", "400000"),
+    ))
+    def test_huge_specs_fail_on_the_vertex_cap(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        label = "hypercube(n=20000)" if "hypercube" in argv else "kneser(p=1000000, k=400000)"
+        assert err == f"error: {label} has more vertices than the cap of 20000\n"
 
     def test_max_vertices_rejected_on_the_grid_too(self, capsys):
         code, out, err = run(capsys, "verify", "--family", "hypercube", "--n", "2",

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from statusindex import (
@@ -11,7 +14,8 @@ from statusindex import (
     generate,
     transmission_profile,
 )
-from statusindex.families import colex_subsets, expected_order
+from statusindex import families
+from statusindex.families import above_cap, colex_subsets, expected_order, validate
 
 from oracles import complement, oracle_profile, subset_graph_adjacency
 
@@ -32,6 +36,40 @@ class TestFamilySpec:
     def test_nonpositive_parameters_rejected(self):
         with pytest.raises(FamilyError, match="positive"):
             FamilySpec.path(0)
+
+    def test_every_route_runs_the_validator(self, monkeypatch):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec.params)
+            validate(spec)
+
+        monkeypatch.setattr(families, "validate", counted)
+        spec = FamilySpec("kneser", (5, 2))
+        assert FamilySpec.kneser(5, 2) == spec
+        for rebuilt in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert rebuilt == spec and rebuilt is not spec
+        assert calls == [(5, 2)] * 5
+        assert not any(hasattr(spec, name) for name in ("_make", "_replace", "__dict__"))
+        with pytest.raises(FamilyError, match="positive"):
+            FamilySpec("path", (-1,))
+
+    def test_fields_are_read_only(self):
+        spec = FamilySpec.hypercube(3)
+        for name in ("kind", "params", "other"):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, (-1,))
+            with pytest.raises(AttributeError):
+                delattr(spec, name)
+        assert spec == FamilySpec.hypercube(3)
+
+    def test_equality_hash_and_repr(self):
+        assert FamilySpec.kneser(5, 2) == FamilySpec("kneser", (5, 2))
+        assert FamilySpec.kneser(5, 2) != FamilySpec.kneser(7, 2)
+        assert FamilySpec.path(3) != FamilySpec.complete(3)
+        assert FamilySpec.path(3) != ("path", (3,))
+        assert len({FamilySpec.path(3), FamilySpec.path(3), FamilySpec.cycle(3)}) == 2
+        assert repr(FamilySpec.path(3)) == "FamilySpec(kind='path', params=(3,))"
 
 
 class TestHypercube:
@@ -199,12 +237,27 @@ class TestGenerationContracts:
     def test_vertex_cap(self):
         with pytest.raises(VertexCapError, match="cap"):
             generate(FamilySpec.hypercube(15))
+        for huge in (FamilySpec.hypercube(10 ** 9), FamilySpec.kneser(10 ** 6, 4 * 10 ** 5),
+                     FamilySpec.intersection(10 ** 6, 5 * 10 ** 5)):
+            with pytest.raises(VertexCapError, match="more vertices than the cap of 20000$"):
+                generate(huge)
         with pytest.raises(VertexCapError):
             generate(FamilySpec.kneser(9, 4), max_vertices=100)
         assert generate(FamilySpec.kneser(9, 4), max_vertices=126).n == 126
 
     def test_colex_subset_order(self):
         assert colex_subsets(4, 2) == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+
+    def test_above_cap_matches_the_exact_order(self):
+        specs = [FamilySpec.hypercube(n) for n in range(1, 9)]
+        specs += [FamilySpec.kneser(p, k) for p in range(1, 12) for k in (1, 2, 3, 4)
+                  if k == 1 <= p or p >= 2 * k + 1]
+        specs += [FamilySpec.intersection(p, t) for p in range(3, 12) for t in range(2, p)]
+        specs += [FamilySpec.nanotorus(4, 6), FamilySpec.path(7), FamilySpec.complete(1)]
+        for spec in specs:
+            order = expected_order(spec)
+            for cap in sorted({-1, 0, 1, order - 1, order, order + 1}):
+                assert above_cap(spec, cap) == (order > cap), (spec, cap)
 
     def test_expected_order(self):
         assert expected_order(FamilySpec.hypercube(10)) == 1024

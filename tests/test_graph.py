@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import re
 
 import pytest
@@ -105,6 +107,38 @@ class TestGraphValidation:
     def test_constructor_rejects(self, n, adjacency, message):
         with pytest.raises(GraphError, match=message):
             Graph(n, adjacency)
+
+    def test_every_route_runs_the_validator(self, monkeypatch):
+        calls = []
+        validate = Graph.__post_init__
+
+        def counted(g):
+            calls.append(g.n)
+            validate(g)
+
+        monkeypatch.setattr(Graph, "__post_init__", counted)
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        assert Graph(3, ((1,), (0, 2), (1,))) == g
+        for rebuilt in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert rebuilt == g and rebuilt is not g
+        assert calls == [3] * 5
+        assert not any(hasattr(g, name) for name in ("_make", "_replace", "__dict__"))
+
+    def test_fields_are_read_only(self):
+        g = Graph.from_edges(2, [(0, 1)])
+        for name in ("n", "adjacency", "degrees", "m", "other"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, ((0,), ()))
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        assert g == Graph(2, ((1,), (0,))) and g.degrees == (1, 1) and g.m == 1
+
+    def test_equality_hash_and_repr(self):
+        assert P4 == Graph.from_edges(4, [(2, 3), (1, 2), (0, 1)])
+        assert P4 != C4
+        assert P3 != (3, P3.adjacency)
+        assert len({P3, Graph.from_edges(3, [(0, 1), (1, 2)]), P4}) == 2
+        assert repr(P3) == "Graph(n=3, adjacency=((1,), (0, 2), (1,)))"
 
     def test_edges_and_non_edges_partition_pairs(self):
         g = demo_graph()
