@@ -22,6 +22,7 @@ from .families import (
     FAMILY_PARAMS,
     FamilySpec,
     FamilyError,
+    above_cap,
     generate,
 )
 from .graph import GraphError, format_edge_list, parse_edge_list, transmission_profile
@@ -216,7 +217,16 @@ _CLOSED_FORM_KEYS = ("family", "n", "m", "degree", "sigma", "wiener")
 
 
 def cmd_closed_form(args: argparse.Namespace) -> int:
-    report = closed_forms_for(_spec_from_args(args))
+    spec = _spec_from_args(args)
+    # Every report writes the vertex count, so a count too long to write
+    # as text fails the command anyway: decide that first, without forming
+    # the count, rather than after evaluating the closed forms.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit and above_cap(spec, 10 ** limit - 1):
+        raise ValueError(
+            f"n has more than {limit} digits, the limit for writing an integer as text"
+        )
+    report = closed_forms_for(spec)
     mode = "as_printed" if args.as_printed else "corrected"
     # every value is formatted before anything is written
     payload = _jsonable(_closed_form_payload(report, mode))

@@ -161,25 +161,26 @@ def parse_edge_list(text: str) -> Graph:
     is a vertex count above DEFAULT_MAX_VERTICES.
 
     One pass checks each line as it reads it, ids against the header or
-    the cap before anything of that size is allocated; each error names
-    its line. Repeated edges are left to the graph's validation: only
-    when it rejects one does the parser look up the line that repeats it.
+    the cap before anything of that size is allocated, and appends each
+    edge straight to both endpoints' rows; no list of the edges is kept.
+    Each error names its line. Repeated edges are left to the graph's
+    validation: only when it rejects one is the text read again, to name
+    the line that repeats an earlier edge.
     """
     header_n: int | None = None
     ids: dict[str, int] = {}  # token -> vertex id, each checked once
-    pairs: list[tuple[int, int] | None] = []  # one per line, None off edges
+    rows: list[list[int]] = []  # one per vertex, allocated before any edge
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         try:
             a, b = line.split()
-            pair = ids[a], ids[b]
+            u, v = ids[a], ids[b]
         except (ValueError, KeyError):
-            pair = None
-        if pair is None:  # not two known ids: read the line in full
+            u = None
+        if u is None:  # not two known ids: read the line in full
             parts = line.split()
             if not parts or parts[0].startswith("#"):
-                pairs.append(None)
                 continue
-            if parts[0] == "n" and header_n is None and not any(pairs):
+            if parts[0] == "n" and not rows:  # no header and no edge yet
                 header_n = _vertex_id(parts[1]) if len(parts) == 2 else None
                 if header_n is None:
                     raise ParseError(f"line {lineno}: malformed header {line.strip()!r}")
@@ -191,7 +192,7 @@ def parse_edge_list(text: str) -> Graph:
                         f"of {DEFAULT_MAX_VERTICES}"
                     )
                 ids = {str(v): v for v in range(header_n)}  # the canonical ids
-                pairs.append(None)
+                rows = [[] for _ in range(header_n)]
                 continue
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected '<u> <v>', got {line.strip()!r}")
@@ -210,25 +211,29 @@ def parse_edge_list(text: str) -> Graph:
                     f"line {lineno}: edge ({u}, {v}) exceeds declared vertex count {header_n}"
                 )
             ids[parts[0]], ids[parts[1]] = u, v
-            pair = u, v
-        u, v = pair
+            if max(u, v) >= len(rows):  # header-less: grow to the largest id
+                rows.extend([] for _ in range(max(u, v) + 1 - len(rows)))
         if u == v:
             raise ParseError(f"line {lineno}: self-loop {u} {v}")
-        pairs.append(pair)
-    if header_n is None and not ids:
+        rows[u].append(v)
+        rows[v].append(u)
+    if not rows:
         raise ParseError("no edges and no 'n <N>' header: vertex count unknown")
+    for row in rows:
+        row.sort()
     try:
-        return Graph.from_edges(header_n or 1 + max(ids.values()), filter(None, pairs))
+        return Graph(len(rows), tuple(map(tuple, rows)))
     except GraphError:
         # Every edge passed its line's checks, so the graph rejected a
-        # repeated one: name the line that repeats an earlier edge.
+        # repeated one: read the text again to name the line that repeats
+        # an earlier edge. Only edge lines start with a digit.
         seen: set[frozenset[int]] = set()
-        for lineno, pair in enumerate(pairs, start=1):
-            if pair is not None:
-                if (key := frozenset(pair)) in seen:
-                    raise ParseError(
-                        f"line {lineno}: duplicate edge {pair[0]} {pair[1]}"
-                    ) from None
+        for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+            parts = line.split()
+            if parts and parts[0].isdigit():
+                u, v = map(int, parts)
+                if (key := frozenset((u, v))) in seen:
+                    raise ParseError(f"line {lineno}: duplicate edge {u} {v}") from None
                 seen.add(key)
         raise
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from statusindex import Graph
+from statusindex import DEFAULT_MAX_VERTICES, Graph
 
 
 def fw_distances(adjacency) -> list[list[int]]:
@@ -158,3 +158,69 @@ def reference_random_connected_graph(n: int, edge_probability: float, seed: int)
         present.add(rng.choice(candidates))
         comp = components()
     return Graph.from_edges(n, sorted(present))
+
+
+def reference_parse(text: str) -> Graph:
+    """Edge-list text to a Graph, the naive way: lines split by hand on
+    ``\\n``, ``\\r\\n`` and ``\\r``, every edge kept in a list and a set
+    of the edges seen. A rejected text raises ValueError with the prefix
+    the library's message must start with: ``line N:`` for a line error,
+    ``line N: duplicate edge`` for the first repeated edge when no line
+    has another error, and the message for an unknown vertex count."""
+    lines = []
+    current = ""
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\r" and text[i + 1:i + 2] == "\n":
+            lines.append(current)
+            current = ""
+            i += 2
+            continue
+        if ch in "\r\n":
+            lines.append(current)
+            current = ""
+        else:
+            current += ch
+        i += 1
+    if current:
+        lines.append(current)
+
+    def is_ascii_digits(token: str) -> bool:
+        return token != "" and all(c in "0123456789" for c in token)
+
+    header = None
+    edges: list[tuple[int, int]] = []
+    seen: set[frozenset[int]] = set()
+    first_repeat = None
+    for number, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens or tokens[0][0] == "#":
+            continue
+        if tokens[0] == "n" and header is None and not edges:
+            if len(tokens) != 2 or not is_ascii_digits(tokens[1]):
+                raise ValueError(f"line {number}:")
+            header = int(tokens[1])
+            if not 1 <= header <= DEFAULT_MAX_VERTICES:
+                raise ValueError(f"line {number}:")
+            continue
+        if len(tokens) != 2 or not all(map(is_ascii_digits, tokens)):
+            raise ValueError(f"line {number}:")
+        u, v = int(tokens[0]), int(tokens[1])
+        limit = DEFAULT_MAX_VERTICES if header is None else header
+        if u >= limit or v >= limit or u == v:
+            raise ValueError(f"line {number}:")
+        if frozenset((u, v)) in seen and first_repeat is None:
+            first_repeat = number
+        seen.add(frozenset((u, v)))
+        edges.append((u, v))
+    if header is None and not edges:
+        raise ValueError("no edges and no 'n <N>' header")
+    if first_repeat is not None:
+        raise ValueError(f"line {first_repeat}: duplicate edge")
+    n = header if header is not None else 1 + max(max(e) for e in edges)
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    return Graph(n, tuple(tuple(sorted(row)) for row in neighbours))

@@ -280,6 +280,20 @@ class TestClosedForm:
         assert err == ("error: indices.s2.corrected has more than 4300 digits, "
                        "the limit for writing an integer as text\n")
 
+    @pytest.mark.parametrize("family", (["kneser", "--p", "100000", "--k", "20000"],
+                                        ["hypercube", "--n", "4000000"]))
+    def test_order_over_the_digit_limit_evaluates_nothing(self, capsys, digit_limit,
+                                                          monkeypatch, family):
+        def evaluated(spec):
+            raise AssertionError(f"closed forms evaluated for {spec.label()}")
+
+        monkeypatch.setattr(cli, "closed_forms_for", evaluated)
+        code, out, err = run(capsys, "closed-form", "--family", *family)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: n has more than 4300 digits, "
+                       "the limit for writing an integer as text\n")
+
     def test_json_payload_fields(self, capsys):
         code, out, _ = run(capsys, "closed-form", "--family", "nanotorus",
                            "--p", "8", "--q", "6", "--json", "--as-printed")

@@ -20,7 +20,7 @@ from statusindex import (
 from statusindex import graph as graph_module
 from statusindex.verify import demo_graph, random_connected_graph
 
-from oracles import complement, oracle_profile
+from oracles import complement, oracle_profile, reference_parse
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -34,6 +34,46 @@ EDGE_LIST_LINES = (
     "", "# note", "n 3", "n 0", "n x", "n 3 4", "0 1", "1 0", "1 2", "0 2", "2 3",
     " 2  4 ", "3 3", "0 1 2", "5", "-1 0", "+1 0", "01 2", "a b", "0 20000",
 )
+
+
+#: Lines mixed into generated edge-list texts: blanks and comments, then
+#: a late header and lines with a bad field, id, range or separator.
+BLANK_LINES = ("", "   ", "# comment", "# 0 1", "#0 1")
+NOISE_LINES = (
+    "n 3", "n", "3 3", "0 20000", "0 9", "-1 0", "+1 0", "a b", "0 1 2",
+    "0\x0b1\x0b2", "1\u20282", "2\x1c3", "01 2", "1\x0b0",
+)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Strategy: edge-list texts around a random simple graph, with noise
+    lines, a header or none, a repeated edge in either orientation, and
+    mixed ``\\n``, ``\\r\\n`` and lone ``\\r`` line ends."""
+    n = draw(st.integers(1, 8))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+        unique_by=frozenset, max_size=12,
+    ))
+    separators = st.sampled_from([" ", "\t", "  ", "\x0b", "\x1c", "\u2028"])
+    lines = [f"{u}{draw(separators)}{v}" for u, v in pairs]
+    extra = ((BLANK_LINES, st.integers(0, 4)), (NOISE_LINES, st.sampled_from([0, 0, 1, 2])))
+    for kind, count in extra:
+        for _ in range(draw(count)):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(kind)))
+    if pairs and draw(st.booleans()):
+        u, v = draw(st.sampled_from(pairs))
+        padding = draw(st.lists(st.sampled_from(["", "# pad"]), max_size=4))
+        lines += [*padding, f"{v} {u}" if draw(st.booleans()) else f"{u} {v}"]
+    good = st.sampled_from([None, n, n + 2])
+    header = draw(st.one_of(good, good, st.sampled_from([n - 1, 0, 20_001, "x", "3 4"])))
+    if header is not None:
+        at = st.one_of(st.just(0), st.just(0), st.integers(0, len(lines)))
+        lines.insert(draw(at), f"n {header}")
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[:-1] if text.endswith("\n") and draw(st.booleans()) else text
 
 
 def random_graphs(max_n=10):
@@ -207,11 +247,33 @@ class TestParseEdgeList:
 
     @pytest.mark.parametrize(
         "text, line",
-        [("0 1\n1 2\n\n# again\n2 1\n", 5), ("n 3\n0 1\n1 0\n0 2\n0 1\n", 3)],
+        [
+            ("0 1\n1 2\n\n# again\n2 1\n", 5),
+            ("n 3\n0 1\n1 0\n0 2\n0 1\n", 3),
+            ("0 1\n# 0 1\n1 0\n", 3),
+            ("5 3\n0 1\n# c\n\n1 2\n3 5\n", 6),
+        ],
     )
     def test_duplicate_edge_names_its_line(self, text, line):
         with pytest.raises(ParseError, match=f"line {line}: duplicate edge"):
             parse_edge_list(text)
+
+    def test_duplicate_far_from_its_edge_names_its_line(self):
+        text = "".join(f"{i} {i + 1}\n" for i in range(10_000)) + "1 0\n"
+        with pytest.raises(ParseError, match="^line 10001: duplicate edge 1 0$"):
+            parse_edge_list(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_list_texts())
+    def test_agrees_with_the_reference_parser(self, text):
+        try:
+            expected = reference_parse(text)
+        except ValueError as exc:
+            with pytest.raises(ParseError) as info:
+                parse_edge_list(text)
+            assert str(info.value).startswith(str(exc))
+        else:
+            assert parse_edge_list(text) == expected
 
     def test_self_loop_names_its_line(self):
         with pytest.raises(ParseError, match="line 3: self-loop 2 2"):
