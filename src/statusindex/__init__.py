@@ -39,18 +39,15 @@ from .indices import (
     BoundsReport,
     Diam2Formulas,
     IndexBundle,
-    OrbitPartition,
     complement_bounds,
     compute_index_bundle,
     diam2_coindex_formulas,
     edge_sums,
     nonedge_sums,
-    orbit_indices,
     status_coindices_direct,
     status_coindices_identity,
     status_indices,
     transmission_regular_indices,
-    validate_orbit_partition,
     zagreb_coindices,
     zagreb_coindices_identity,
     zagreb_indices,

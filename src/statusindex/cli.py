@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Any, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .closed_forms import ClosedFormReport, closed_forms_for
 from .families import (
@@ -93,71 +93,71 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> range:
     """``a..b`` inclusive, or a single integer."""
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = _integer(lo_text), _integer(hi_text)
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [_integer(text)]
+        return range(lo, hi + 1)
+    value = _integer(text)
+    return range(value, value + 1)
 
 
 _PARAM_FLAGS = ("n", "p", "q", "k", "t")
 
 
-def _reject_foreign_params(args: argparse.Namespace) -> None:
+def _family_params(args: argparse.Namespace, read: Callable[[str], Any]) -> list[Any]:
+    """The family's parameters, each read by ``read`` in declaration
+    order, after rejecting any parameter flag the family does not take."""
     names = FAMILY_PARAMS[args.family]
-    foreign = [
-        name for name in _PARAM_FLAGS
-        if name not in names and getattr(args, name, None) is not None
-    ]
-    if foreign:
-        raise FamilyError(
-            f"family {args.family!r} does not take --{foreign[0]} "
-            f"(its parameters are {', '.join('--' + n for n in names)})"
-        )
-
-
-def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
-    _reject_foreign_params(args)
-    names = FAMILY_PARAMS[args.family]
+    for name in _PARAM_FLAGS:
+        if name not in names and getattr(args, name, None) is not None:
+            raise FamilyError(
+                f"family {args.family!r} does not take --{name} "
+                f"(its parameters are {', '.join('--' + n for n in names)})"
+            )
     values = []
     for name in names:
         value = getattr(args, name, None)
         if value is None:
             raise FamilyError(f"family {args.family!r} needs --{name}")
-        values.append(_integer(value))
-    return FamilySpec(args.family, tuple(values))
+        values.append(read(value))
+    return values
 
 
-def _specs_from_ranges(args: argparse.Namespace) -> tuple[list[FamilySpec], list[str]]:
-    """Cartesian product of the given parameter ranges; invalid
-    combinations are skipped (reported, not fatal) so range grids can
-    sweep past constraint boundaries."""
-    _reject_foreign_params(args)
-    names = FAMILY_PARAMS[args.family]
-    ranges = []
-    for name in names:
-        value = getattr(args, name, None)
-        if value is None:
-            raise FamilyError(f"family {args.family!r} needs --{name}")
-        ranges.append(_parse_range(value))
-    combos: list[tuple[int, ...]] = [()]
-    for values in ranges:
-        combos = [prefix + (v,) for prefix in combos for v in values]
-    single = len(combos) == 1
-    specs = []
-    skipped = []
-    for combo in combos:
+def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
+    return FamilySpec(args.family, tuple(_family_params(args, _integer)))
+
+
+def _product(ranges: Sequence[range]) -> Iterator[tuple[int, ...]]:
+    """``itertools.product(*ranges)`` without copying each range into a
+    tuple first: the tuples in lexicographic order, one at a time."""
+    if not ranges:
+        yield ()
+        return
+    for head in _product(ranges[:-1]):
+        for value in ranges[-1]:
+            yield (*head, value)
+
+
+def _specs_from_ranges(family: str, ranges: Sequence[range],
+                       skipped: list[str]) -> Iterator[FamilySpec]:
+    """The specs of the ranges' Cartesian product, one at a time. An
+    invalid combination is appended to ``skipped`` (reported, not fatal)
+    so a sweep can pass constraint boundaries, unless it is the only one."""
+    # not len(), which overflows on a range longer than sys.maxsize
+    single = all(values.stop - values.start == 1 for values in ranges)
+    for combo in _product(ranges):
         try:
-            specs.append(FamilySpec(args.family, combo))
+            spec = FamilySpec(family, combo)
         except FamilyError as exc:
             if single:
                 raise
             skipped.append(str(exc))
-    return specs, skipped
+        else:
+            yield spec
 
 
 #: Text-output order of the compute fields; JSON adds the transmissions.
@@ -351,11 +351,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"--{given_params[0]} given without --family; pick a family to sweep"
             )
         specs = default_grid()
+    elif given_params:
+        specs = _specs_from_ranges(args.family, _family_params(args, _parse_range), skipped)
     else:
-        if any(getattr(args, name, None) is not None for name in FAMILY_PARAMS[args.family]):
-            specs, skipped = _specs_from_ranges(args)
-        else:
-            specs = [s for s in default_grid() if s.kind == args.family]
+        specs = [s for s in default_grid() if s.kind == args.family]
     report = verify_grid(mode, specs, max_vertices)
     extra = {"skipped": skipped} if skipped else None
     return _print_report(report, args, extra)

@@ -62,17 +62,6 @@ class Diam2Formulas(NamedTuple):
     s2_co_from_zagreb_co: int
 
 
-class OrbitPartition(NamedTuple):
-    """A partition of the vertex set into blocks of equivalent vertices.
-
-    Valid blocks have constant degree and constant transmission; that
-    necessary condition is all the orbit index formulas consume, so it
-    is all that gets validated.
-    """
-
-    blocks: tuple[frozenset[int], ...]
-
-
 def _half_even(value: int, what: str) -> int:
     if value % 2:
         raise ArithmeticError(f"{what} must be even, got {value}")
@@ -272,49 +261,3 @@ def transmission_regular_indices(n: int, m: int, k: int) -> tuple[int, int, int,
     s1_co = 2 * pairs * k - 2 * m * k
     s2_co = (pairs - m) * k * k
     return s1, s2, s1_co, s2_co
-
-
-def validate_orbit_partition(g: Graph, tp: TransmissionProfile, op: OrbitPartition) -> None:
-    """Check that blocks partition V and are constant in degree and
-    transmission; raises ValueError otherwise."""
-    covered: set[int] = set()
-    for block in op.blocks:
-        if not block:
-            raise ValueError("empty orbit block")
-        for u in block:
-            if not 0 <= u < g.n:
-                raise ValueError(f"vertex {u} out of range in orbit block")
-            if u in covered:
-                raise ValueError(f"vertex {u} appears in more than one block")
-        covered.update(block)
-        degs = {g.degrees[u] for u in block}
-        sigs = {tp.sigma[u] for u in block}
-        if len(degs) > 1 or len(sigs) > 1:
-            raise ValueError(
-                f"block {sorted(block)} mixes degrees {sorted(degs)} "
-                f"or transmissions {sorted(sigs)}"
-            )
-    if len(covered) != g.n:
-        raise ValueError("orbit blocks do not cover every vertex")
-
-
-def orbit_indices(
-    g: Graph, tp: TransmissionProfile, op: OrbitPartition
-) -> tuple[int, int]:
-    """(s1, s1_co) from per-block sizes, degrees and transmissions.
-
-    s1 = sum |V_i| d_i k_i and s1_co = sum |V_i| k_i (n - 1 - d_i),
-    the integer rearrangement of the (n-1)-weighted orbit sum.
-    """
-    validate_orbit_partition(g, tp, op)
-    n = g.n
-    s1 = 0
-    s1_co = 0
-    for block in op.blocks:
-        u = next(iter(block))
-        size = len(block)
-        d = g.degrees[u]
-        k = tp.sigma[u]
-        s1 += size * d * k
-        s1_co += size * k * (n - 1 - d)
-    return s1, s1_co

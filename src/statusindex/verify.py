@@ -9,7 +9,7 @@ a hard failure too.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .closed_forms import INDEX_NAMES, ClosedFormReport, closed_forms_for
 from .families import DEFAULT_MAX_VERTICES, FamilySpec, generate
@@ -241,7 +241,6 @@ def verify_identities(
     g: Graph,
     case_id: str = "graph",
     tag: str | None = None,
-    tp: TransmissionProfile | None = None,
 ) -> VerificationReport:
     """Check the co-index identities on one connected graph.
 
@@ -251,8 +250,7 @@ def verify_identities(
     checks both complement lower bounds and the equality condition.
     ``tag`` adds rows for registered fixture errata (published values).
     """
-    if tp is None:
-        tp = transmission_profile(g)
+    tp = transmission_profile(g)
     rows = []
     s1, s2 = status_indices(g, tp)
     s1_co, s2_co = status_coindices_direct(g, tp)
@@ -458,7 +456,7 @@ def default_grid() -> list[FamilySpec]:
 
 def verify_grid(
     mode: str = "corrected",
-    specs: list[FamilySpec] | None = None,
+    specs: Iterable[FamilySpec] | None = None,
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> VerificationReport:
     """Verify every spec in the grid (default: the full family grid)."""

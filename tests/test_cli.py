@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -18,6 +19,11 @@ from statusindex import (
 )
 from statusindex import cli
 from statusindex.cli import main
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 #: Integers ``int()`` reads but the command line rejects: an underscore,
 #: a plus sign, Arabic-Indic digits, a blank.
@@ -431,6 +437,51 @@ class TestVerify:
         assert code == 0
         assert "skipped: hypercube(n=-1)" in out
         assert "hypercube(n=2)" in out
+
+    @pytest.mark.parametrize("family, flag, params", (
+        ("hypercube", "--p", "--n"),
+        ("kneser", "--n", "--p, --k"),
+        ("intersection", "--q", "--p, --t"),
+        ("nanotorus", "--t", "--p, --q"),
+    ), ids=("hypercube", "kneser", "intersection", "nanotorus"))
+    def test_foreign_flag_alone_exits_2(self, capsys, family, flag, params):
+        # a foreign flag alone must not fall through to the family's grid slice
+        code, out, err = run(capsys, "verify", "--family", family, flag, "3")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: family {family!r} does not take {flag} "
+                       f"(its parameters are {params})\n")
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    @pytest.mark.parametrize("ranges, label", (
+        (("--family", "hypercube", "--n", "30..30000000"), "hypercube(n=30)"),
+        (("--family", "kneser", "--p", "30..20000", "--k", "20..20000"),
+         "kneser(p=41, k=20)"),
+        # a range longer than sys.maxsize, which len() cannot measure
+        (("--family", "hypercube", "--n", f"15..{10 ** 30}"), "hypercube(n=15)"),
+    ), ids=("hypercube", "kneser", "beyond-maxsize"))
+    def test_hostile_range_exits_2_in_bounded_memory(self, ranges, label):
+        # a sweep takes one spec at a time, so the first over the cap ends it
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "statusindex", "verify", *ranges],
+            capture_output=True, text=True, preexec_fn=limit_memory,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr == f"error: {label} has more vertices than the cap of 20000\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.builds(lambda start, length: range(start, start + length),
+              st.integers(-5, 5), st.integers(1, 4)),
+    max_size=3,
+))
+def test_lazy_product_matches_itertools_product(ranges):
+    assert list(cli._product(ranges)) == list(itertools.product(*ranges))
 
 
 class TestBounds:

@@ -8,19 +8,16 @@ from hypothesis import given, settings, strategies as st
 from statusindex import (
     DisconnectedGraphError,
     Graph,
-    OrbitPartition,
     complement_bounds,
     compute_index_bundle,
     diam2_coindex_formulas,
     edge_sums,
     nonedge_sums,
-    orbit_indices,
     status_coindices_direct,
     status_coindices_identity,
     status_indices,
     transmission_profile,
     transmission_regular_indices,
-    validate_orbit_partition,
     zagreb_coindices,
     zagreb_coindices_identity,
     zagreb_indices,
@@ -330,55 +327,3 @@ class TestTransmissionRegularIndices:
         # a vertex-transitive graph of degree d has m = n*d/2 edges
         assert transmission_regular_indices(5, 5 * 2 // 2, 6) == (60, 180, 60, 180)
         assert transmission_regular_indices(10, 10 * 3 // 2, 15) == (450, 3375, 900, 6750)
-
-
-class TestOrbitIndices:
-    def test_path_two_blocks(self):
-        g, tp = profiled(P3)
-        op = OrbitPartition((frozenset({0, 2}), frozenset({1})))
-        assert orbit_indices(g, tp, op) == (10, 6)
-
-    def test_five_cycle_single_block(self):
-        g, tp = profiled(C5)
-        op = OrbitPartition((frozenset(range(5)),))
-        assert orbit_indices(g, tp, op) == (60, 60)
-
-    def test_petersen_single_block(self):
-        from statusindex import FamilySpec, generate
-
-        g = generate(FamilySpec.kneser(5, 2))
-        tp = transmission_profile(g)
-        op = OrbitPartition((frozenset(range(10)),))
-        assert orbit_indices(g, tp, op) == (450, 900)
-
-    def test_mixed_block_rejected(self):
-        g, tp = profiled(P3)
-        op = OrbitPartition((frozenset({0, 1, 2}),))
-        with pytest.raises(ValueError, match="mixes"):
-            validate_orbit_partition(g, tp, op)
-
-    def test_incomplete_cover_rejected(self):
-        g, tp = profiled(P3)
-        with pytest.raises(ValueError, match="cover"):
-            validate_orbit_partition(g, tp, OrbitPartition((frozenset({0, 2}),)))
-
-    def test_overlap_rejected(self):
-        g, tp = profiled(P3)
-        op = OrbitPartition((frozenset({0, 2}), frozenset({1, 2})))
-        with pytest.raises(ValueError, match="more than one"):
-            validate_orbit_partition(g, tp, op)
-
-    @settings(max_examples=40, deadline=None)
-    @given(random_graphs())
-    def test_refinement_invariance(self, g):
-        """Singletons, (degree, sigma) classes, and the edge sums agree."""
-        tp = transmission_profile(g)
-        singletons = OrbitPartition(tuple(frozenset({u}) for u in range(g.n)))
-        classes: dict[tuple[int, int], set[int]] = {}
-        for u in range(g.n):
-            classes.setdefault((g.degrees[u], tp.sigma[u]), set()).add(u)
-        coarse = OrbitPartition(tuple(frozenset(block) for block in classes.values()))
-        s1, _ = status_indices(g, tp)
-        s1_co, _ = status_coindices_direct(g, tp)
-        assert orbit_indices(g, tp, singletons) == (s1, s1_co)
-        assert orbit_indices(g, tp, coarse) == (s1, s1_co)

@@ -9,7 +9,6 @@ import pytest
 from statusindex import (
     ERRATA,
     FamilySpec,
-    OrbitPartition,
     complement_bounds,
     compute_index_bundle,
     diam2_coindex_formulas,
@@ -41,7 +40,6 @@ def records():
         compute_index_bundle(g, tp),
         complement_bounds(generate(FamilySpec.cycle(5))),
         diam2_coindex_formulas(g, tp),
-        OrbitPartition((frozenset(range(g.n)),)),
         closed,
         closed.indices["s1"],
         ERRATA[0],
