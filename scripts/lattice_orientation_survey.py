@@ -16,7 +16,7 @@ import sys
 
 from statusindex import transmission_profile
 from statusindex.closed_forms import nanotorus_closed_forms
-from statusindex.families import FamilyError, _polyhex_lattice
+from statusindex.families import _polyhex_lattice
 
 
 def formula_sigma(p: int, q: int) -> int:
@@ -36,11 +36,7 @@ def main() -> int:
     print(header)
     for rows in range(2, args.max_rows + 1, 2):
         for ring in range(4, args.max_ring + 1, 2):
-            try:
-                g = _polyhex_lattice(rows=rows, ring=ring)
-            except FamilyError as exc:
-                print(f"{rows:>5} {ring:>5}  {exc}")
-                continue
+            g = _polyhex_lattice(rows=rows, ring=ring)
             tp = transmission_profile(g)
             cubic = set(g.degrees) == {3}
             k = tp.regular_k

@@ -13,22 +13,23 @@ import argparse
 import json
 import sys
 from json.encoder import encode_basestring_ascii
+from math import comb, isqrt
 from typing import Any, Callable, Iterator, Sequence
 
 from .closed_forms import ClosedFormReport, closed_forms_for
 from .families import (
     CLOSED_FORM_FAMILIES,
-    DEFAULT_MAX_VERTICES,
     FAMILY_PARAMS,
     FamilySpec,
     FamilyError,
     above_cap,
     generate,
 )
-from .graph import GraphError, format_edge_list, parse_edge_list, transmission_profile
+from .graph import format_edge_list, parse_edge_list, transmission_profile
 from .indices import complement_bounds, compute_index_bundle
 from .verify import (
     DEFAULT_SEED,
+    ERRATA,
     VerificationReport,
     default_grid,
     verify_grid,
@@ -188,9 +189,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    max_vertices = _integer(args.max_vertices)
-    spec = _spec_from_args(args)
-    g = generate(spec, max_vertices=max_vertices)
+    g = generate(_spec_from_args(args))
     text = format_edge_list(g)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -216,15 +215,32 @@ def _closed_form_payload(report: ClosedFormReport, mode: str) -> dict[str, Any]:
 _CLOSED_FORM_KEYS = ("family", "n", "m", "degree", "sigma", "wiener")
 
 
+def _s2_floor(n: int) -> int:
+    """A lower bound on the larger of s2 and s2_co of a connected graph
+    on n vertices: their sum is sigma_u * sigma_v summed over all C(n, 2)
+    pairs, and every sigma is at least n - 1."""
+    return comb(n, 2) * (n - 1) ** 2 // 2
+
+
+def _largest_order(limit: int) -> int:
+    """The largest n whose ``_s2_floor`` has at most ``limit`` digits."""
+    n = isqrt(isqrt(4 * 10 ** limit)) + 2  # above it: (n-1)^4 <= 4 _s2_floor(n) + 3
+    while _s2_floor(n) >= 10 ** limit:
+        n -= 1
+    return n
+
+
 def cmd_closed_form(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    # Every report writes the vertex count, so a count too long to write
-    # as text fails the command anyway: decide that first, without forming
-    # the count, rather than after evaluating the closed forms.
+    # Every report writes the corrected s2 and s2_co, so an order whose
+    # bound on them is too long to write as text fails the command anyway:
+    # decide that first, without forming the order, rather than after
+    # evaluating the closed forms.
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit and above_cap(spec, 10 ** limit - 1):
+    if limit and above_cap(spec, _largest_order(limit)):
         raise ValueError(
-            f"n has more than {limit} digits, the limit for writing an integer as text"
+            f"indices.s2.corrected or indices.s2_co.corrected has more than {limit} "
+            "digits, the limit for writing an integer as text"
         )
     report = closed_forms_for(spec)
     mode = "as_printed" if args.as_printed else "corrected"
@@ -330,7 +346,6 @@ def _print_report(report: VerificationReport, args: argparse.Namespace,
 
 def cmd_verify(args: argparse.Namespace) -> int:
     count, seed = _integer(args.count), _integer(args.seed)
-    max_vertices = _integer(args.max_vertices)
     mode = args.mode.replace("-", "_")
     given_params = [
         name for name in _PARAM_FLAGS if getattr(args, name, None) is not None
@@ -355,7 +370,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         specs = _specs_from_ranges(args.family, _family_params(args, _parse_range), skipped)
     else:
         specs = [s for s in default_grid() if s.kind == args.family]
-    report = verify_grid(mode, specs, max_vertices)
+    report = verify_grid(mode, specs)
     extra = {"skipped": skipped} if skipped else None
     return _print_report(report, args, extra)
 
@@ -388,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact status (transmission) connectivity indices and co-indices "
         "of connected graphs, with family generators and closed-form verification.",
     )
-    # --count, --seed and --max-vertices stay strings, like the family
-    # parameters, until the command reads them with _integer
+    # --count and --seed stay strings, like the family parameters, until
+    # the command reads them with _integer
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="compute all indices of an edge-list file")
@@ -401,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("--family", required=True, choices=sorted(FAMILY_PARAMS))
     _add_family_arguments(p_generate, ranged=False)
     p_generate.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-    p_generate.add_argument("--max-vertices", default=str(DEFAULT_MAX_VERTICES))
     p_generate.set_defaults(func=cmd_generate)
 
     p_closed = sub.add_parser("closed-form", help="evaluate a family's closed-form indices")
@@ -428,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--dense", action="store_true",
                           help="use the dense random corpus (diameter <= 2 coverage)")
     p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--max-vertices", default=str(DEFAULT_MAX_VERTICES))
     p_verify.set_defaults(func=cmd_verify)
 
     p_bounds = sub.add_parser("bounds", help="complement index lower bounds for a graph file")
@@ -441,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_identities.add_argument("path")
     p_identities.add_argument("--tag", default=None,
-                              help="fixture tag for registered published values (e.g. demo5)")
+                              choices=sorted({e.fixture for e in ERRATA} - {None}),
+                              help="fixture tag for registered published values")
     p_identities.add_argument("--json", action="store_true")
     p_identities.set_defaults(func=cmd_identities)
 
@@ -453,10 +467,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, FamilyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # GraphError and FamilyError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

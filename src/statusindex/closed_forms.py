@@ -143,8 +143,8 @@ def hypercube_closed_forms(n: int) -> ClosedFormReport:
 def kneser_distance(p: int, k: int, s: int) -> int:
     """Distance between two k-subsets of a p-set that share s elements
     (Valencia-Pabon and Vera, "On the diameter of Kneser graphs",
-    Discrete Math. 305, 2005). p - 2k is below 1 only for K1 = kneser(1, 1)
-    and K2 = kneser(2, 1); a gap of 1 gives their distances, 0 and 1."""
+    Discrete Math. 305, 2005). Of the valid specs, p - 2k is below 1 only
+    for K2 = kneser(2, 1); a gap of 1 gives its distance, 1."""
     gap = max(p - 2 * k, 1)
     return min(2 * -(-(k - s) // gap), 2 * -(-s // gap) + 1)
 

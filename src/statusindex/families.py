@@ -8,7 +8,7 @@ adjacency lists.
 from __future__ import annotations
 
 from itertools import combinations, compress
-from math import comb
+from math import prod
 from operator import not_
 
 from .graph import DEFAULT_MAX_VERTICES, Graph
@@ -123,6 +123,8 @@ def validate(spec: FamilySpec) -> None:
         p, k = params
         if p < k:
             raise FamilyError(f"{spec.label()}: need p >= k")
+        if p == 1:
+            raise FamilyError(f"{spec.label()} is K1, which has no closed forms; use path(n=1)")
         if k >= 2:
             if p == 2 * k:
                 raise FamilyError(
@@ -160,23 +162,12 @@ def validate(spec: FamilySpec) -> None:
     # path, complete: any positive n
 
 
-def expected_order(spec: FamilySpec) -> int:
-    """Vertex count of generate(spec), computed without building it."""
-    kind, params = spec.kind, spec.params
-    if kind == "hypercube":
-        return 2 ** params[0]
-    if kind in ("kneser", "intersection"):
-        return comb(params[0], params[1])
-    if kind == "nanotorus":
-        return params[0] * params[1]
-    return params[0]
-
-
 def above_cap(spec: FamilySpec, cap: int) -> bool:
     """Whether generate(spec) has more than ``cap`` vertices, decided
     without forming an order far above the cap: ``2**n`` is compared by
     bit length, and a binomial is built from its partial products, which
-    only grow, until one passes the cap."""
+    only grow, until one passes the cap. Every other family's order is
+    the product of its parameters."""
     kind, params = spec.kind, spec.params
     if kind == "hypercube":
         return params[0] >= max(cap, 0).bit_length()
@@ -189,7 +180,7 @@ def above_cap(spec: FamilySpec, cap: int) -> bool:
             if order > cap:
                 return True
         return order > cap
-    return expected_order(spec) > cap
+    return prod(params) > cap
 
 
 def colex_subsets(p: int, k: int) -> list[tuple[int, ...]]:
@@ -225,14 +216,10 @@ def _polyhex_lattice(rows: int, ring: int) -> Graph:
     rings of ``ring`` vertices each, with rungs between consecutive rings
     at alternating positions.
 
-    Vertex (r, c) has id r*ring + c. Ring length must be >= 4: a ring of
-    2 would collapse its doubled bond and drop to degree 2.
+    Vertex (r, c) has id r*ring + c. Callers pass an even ring >= 4 and
+    even rows >= 2: a ring of 2 would collapse its doubled bond and drop
+    to degree 2, which ``Graph`` rejects as a duplicate edge.
     """
-    if ring < 4 or ring % 2 or rows < 2 or rows % 2:
-        raise FamilyError(
-            f"polyhex lattice needs even ring >= 4 and even rows >= 2, "
-            f"got ring={ring}, rows={rows}"
-        )
     edges = []
     for r in range(rows):
         base = r * ring
@@ -266,11 +253,11 @@ def _complete(n: int) -> Graph:
     return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
-def generate(spec: FamilySpec, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
+def generate(spec: FamilySpec) -> Graph:
     """Build the graph for ``spec``; raises VertexCapError above the cap."""
-    if above_cap(spec, max_vertices):
+    if above_cap(spec, DEFAULT_MAX_VERTICES):
         raise VertexCapError(
-            f"{spec.label()} has more vertices than the cap of {max_vertices}"
+            f"{spec.label()} has more vertices than the cap of {DEFAULT_MAX_VERTICES}"
         )
     kind, params = spec.kind, spec.params
     if kind == "hypercube":

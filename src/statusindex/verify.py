@@ -12,7 +12,7 @@ import random
 from typing import Iterable, NamedTuple
 
 from .closed_forms import INDEX_NAMES, ClosedFormReport, closed_forms_for
-from .families import DEFAULT_MAX_VERTICES, FamilySpec, generate
+from .families import FamilySpec, generate
 from .graph import DisconnectedGraphError, Graph, TransmissionProfile, transmission_profile
 from .indices import (
     complement_bounds,
@@ -203,11 +203,7 @@ def _family_rows(
     return rows
 
 
-def verify_family(
-    spec: FamilySpec,
-    mode: str = "corrected",
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> VerificationReport:
+def verify_family(spec: FamilySpec, mode: str = "corrected") -> VerificationReport:
     """Generate the family member, compute every index by its defining
     sum, and compare with the closed forms.
 
@@ -219,7 +215,7 @@ def verify_family(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     # the cap comes first: the closed forms of a huge spec are huge integers
-    g = generate(spec, max_vertices=max_vertices)
+    g = generate(spec)
     cf = closed_forms_for(spec)
     tp = transmission_profile(g)
     s1, s2 = status_indices(g, tp)
@@ -455,14 +451,12 @@ def default_grid() -> list[FamilySpec]:
 
 
 def verify_grid(
-    mode: str = "corrected",
-    specs: Iterable[FamilySpec] | None = None,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
+    mode: str = "corrected", specs: Iterable[FamilySpec] | None = None
 ) -> VerificationReport:
     """Verify every spec in the grid (default: the full family grid)."""
     report = VerificationReport()
     for spec in specs if specs is not None else default_grid():
-        report.extend(verify_family(spec, mode=mode, max_vertices=max_vertices))
+        report.extend(verify_family(spec, mode=mode))
     return report
 
 

@@ -15,6 +15,8 @@ from statusindex import (
     DEFAULT_SEED,
     VerificationCase,
     VerificationReport,
+    closed_forms_for,
+    default_grid,
     verify_random_suite,
 )
 from statusindex import cli
@@ -163,13 +165,7 @@ class TestGenerate:
     def test_vertex_cap(self, capsys):
         code, _, err = run(capsys, "generate", "--family", "hypercube", "--n", "15")
         assert code == 2
-        assert "cap" in err
-        code, out, _ = run(
-            capsys, "generate", "--family", "hypercube", "--n", "15",
-            "--max-vertices", "40000",
-        )
-        assert code == 0
-        assert out.startswith("n 32768\n")
+        assert err == "error: hypercube(n=15) has more vertices than the cap of 20000\n"
 
     def test_round_trip_matches_closed_forms(self, capsys, tmp_path):
         for family, flags, expected in (
@@ -202,13 +198,15 @@ class TestGenerate:
         assert out == ""
         assert f"invalid integer {value!r}" in err
 
-    @pytest.mark.parametrize("value", NON_ASCII_INTEGERS + (" 1_0",))
-    def test_max_vertices_takes_ascii_digits_only(self, capsys, value):
-        code, out, err = run(capsys, "generate", "--family", "hypercube", "--n", "2",
-                             "--max-vertices", value)
-        assert code == 2
-        assert out == ""
-        assert f"invalid integer {value!r}" in err
+    @pytest.mark.parametrize("command", ("generate", "verify"))
+    def test_max_vertices_is_not_an_option(self, capsys, command):
+        # one vertex cap for every graph: no command can raise it
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--family", "hypercube", "--n", "2", "--max-vertices", "4"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --max-vertices 4" in captured.err
 
 
 @pytest.fixture
@@ -278,16 +276,19 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("flags", ([], ["--json"], ["--as-printed"]))
     def test_value_over_the_digit_limit_writes_nothing(self, capsys, digit_limit, flags):
-        # hypercube(5000): s2 = 5000^3 * 2^14997 has 4526 digits
+        # hypercube(3566) passes the order gate, but its corrected s2_co,
+        # (C(2^n, 2) - n 2^(n-1)) (n 2^(n-1))^2, has 4301 digits
         code, out, err = run(capsys, "closed-form", "--family", "hypercube",
-                             "--n", "5000", *flags)
+                             "--n", "3566", *flags)
         assert code == 2
         assert out == ""
-        assert err == ("error: indices.s2.corrected has more than 4300 digits, "
+        assert err == ("error: indices.s2_co.corrected has more than 4300 digits, "
                        "the limit for writing an integer as text\n")
 
     @pytest.mark.parametrize("family", (["kneser", "--p", "100000", "--k", "20000"],
-                                        ["hypercube", "--n", "4000000"]))
+                                        ["hypercube", "--n", "4000000"],
+                                        ["hypercube", "--n", "5000"],
+                                        ["kneser", "--p", "14001", "--k", "7000"]))
     def test_order_over_the_digit_limit_evaluates_nothing(self, capsys, digit_limit,
                                                           monkeypatch, family):
         def evaluated(spec):
@@ -297,8 +298,30 @@ class TestClosedForm:
         code, out, err = run(capsys, "closed-form", "--family", *family)
         assert code == 2
         assert out == ""
-        assert err == ("error: n has more than 4300 digits, "
-                       "the limit for writing an integer as text\n")
+        assert err == ("error: indices.s2.corrected or indices.s2_co.corrected has more "
+                       "than 4300 digits, the limit for writing an integer as text\n")
+
+    def test_order_gate_is_tight(self, capsys, digit_limit):
+        # kneser(3571, 1785) passes the gate, and its largest value has 4299 digits
+        code, out, _ = run(capsys, "closed-form", "--family", "kneser",
+                           "--p", "3571", "--k", "1785", "--json")
+        assert code == 0
+        digits = [len(value[mode]) for value in json.loads(out)["indices"].values()
+                  for mode in ("corrected", "as_printed")]
+        assert max(digits) == 4299
+
+    @pytest.mark.parametrize("limit", (1, 2, 3, 4, 5, 10, 100, 4300))
+    def test_largest_order_is_the_last_that_fits(self, limit):
+        n = cli._largest_order(limit)
+        assert cli._s2_floor(n) < 10 ** limit <= cli._s2_floor(n + 1)
+
+    def test_order_gate_bound_holds_on_the_grid(self):
+        # the gate may only reject what would fail to print: the bound must
+        # not exceed the larger corrected value on any spec
+        for spec in default_grid():
+            report = closed_forms_for(spec)
+            largest = max(report.indices["s2"].corrected, report.indices["s2_co"].corrected)
+            assert cli._s2_floor(report.n) <= largest, spec
 
     def test_json_payload_fields(self, capsys):
         code, out, _ = run(capsys, "closed-form", "--family", "nanotorus",
@@ -341,6 +364,18 @@ class TestVerify:
     def test_single_invalid_point_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "kneser", "--p", "4", "--k", "2")
         assert code == 2
+
+    def test_sweep_skips_the_single_vertex_kneser_graph(self, capsys):
+        code, out, _ = run(capsys, "verify", "--family", "kneser",
+                           "--p", "1..6", "--k", "1..2", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["summary"]["cases"] == payload["summary"]["passed"] == 42
+        assert any(item.startswith("kneser(p=1, k=1) is K1") for item in payload["skipped"])
+        code, out, err = run(capsys, "verify", "--family", "kneser", "--p", "1", "--k", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: kneser(p=1, k=1) is K1, which has no closed forms; use path(n=1)\n"
 
     def test_family_without_params_uses_grid_slice(self, capsys):
         code, out, _ = run(capsys, "verify", "--family", "nanotorus", "--json")
@@ -391,7 +426,7 @@ class TestVerify:
         assert f"invalid integer {value!r}" in err
 
     @pytest.mark.parametrize("value", NON_ASCII_INTEGERS)
-    @pytest.mark.parametrize("option", ("--count", "--seed", "--max-vertices"))
+    @pytest.mark.parametrize("option", ("--count", "--seed"))
     def test_integer_options_take_ascii_digits_only(self, capsys, option, value):
         code, out, err = run(capsys, "verify", "--family", "random", "--count", "10",
                              option, value)
@@ -412,13 +447,6 @@ class TestVerify:
         label = "hypercube(n=20000)" if "hypercube" in argv else "kneser(p=1000000, k=400000)"
         assert err == f"error: {label} has more vertices than the cap of 20000\n"
 
-    def test_max_vertices_rejected_on_the_grid_too(self, capsys):
-        code, out, err = run(capsys, "verify", "--family", "hypercube", "--n", "2",
-                             "--max-vertices", "+4")
-        assert code == 2
-        assert out == ""
-        assert "invalid integer '+4'" in err
-
     def test_integer_options_are_read(self, capsys):
         code, out, _ = run(capsys, "verify", "--family", "random", "--json",
                            "--count", "7", "--seed", "-3")
@@ -427,10 +455,6 @@ class TestVerify:
         assert {c["case"] for c in cases} == {
             f"random[mixed,seed={s},n={n}]" for s, n in zip(range(-3, 4), range(2, 9))
         }
-        code, _, err = run(capsys, "verify", "--family", "hypercube", "--n", "5",
-                           "--max-vertices", "31")
-        assert code == 2
-        assert "cap" in err
 
     def test_negative_range_bound_is_an_integer(self, capsys):
         code, out, err = run(capsys, "verify", "--family", "hypercube", "--n=-1..2")
@@ -514,6 +538,15 @@ class TestIdentities:
         assert code == 0
         assert "erratum" in out
         assert "11 vs oracle 22" in out
+
+    def test_unknown_tag_exits_2(self, capsys, demo5_path):
+        # a tag with no registered fixture would silently add no rows
+        with pytest.raises(SystemExit) as exc:
+            main(["identities", str(demo5_path), "--tag", "nosuchtag"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'nosuchtag'" in captured.err
 
     def test_json_contains_rows(self, capsys, c5_path):
         code, out, _ = run(capsys, "identities", str(c5_path), "--json")

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from statusindex import (
+    FamilyError,
     FamilySpec,
     closed_forms_for,
     generate,
@@ -103,9 +104,9 @@ class TestKneserClosedForms:
             assert corrected(report)["s2_co"] == 0
 
     def test_single_vertex_has_no_closed_forms(self):
-        # kneser(1, 1) is K1: its transmission is 0
-        assert kneser_distance(1, 1, 1) == 0
-        with pytest.raises(ValueError, match="transmission k must be positive"):
+        # kneser(1, 1) is K1: its transmission is 0, so it is not a valid spec
+        with pytest.raises(FamilyError, match=r"^kneser\(p=1, k=1\) is K1, which has no "
+                           r"closed forms; use path\(n=1\)$"):
             kneser_closed_forms(1, 1)
 
 

@@ -6,16 +6,18 @@ import pickle
 import pytest
 
 from statusindex import (
+    DEFAULT_MAX_VERTICES,
     FamilyError,
     FamilySpec,
     Graph,
     VertexCapError,
+    default_grid,
     format_edge_list,
     generate,
     transmission_profile,
 )
 from statusindex import families
-from statusindex.families import above_cap, colex_subsets, expected_order, validate
+from statusindex.families import above_cap, colex_subsets, validate
 
 from oracles import complement, oracle_profile, subset_graph_adjacency
 
@@ -151,7 +153,7 @@ class TestSubsetFamilies:
     @pytest.mark.parametrize("p", range(1, 10))
     def test_match_frozenset_definition(self, p):
         for k in range(1, p + 1):
-            if k == 1 or p >= 2 * k + 1:
+            if k == 1 < p or p >= 2 * k + 1:
                 g = generate(FamilySpec.kneser(p, k))
                 assert g.adjacency == subset_graph_adjacency(p, k, disjoint=True)
         for t in range(2, p):
@@ -232,7 +234,7 @@ class TestGenerationContracts:
     def test_generated_graphs_are_connected(self):
         for spec in self.ALL_SPECS:
             sigma, _, _ = oracle_profile(generate(spec).adjacency)
-            assert len(sigma) == expected_order(spec)
+            assert not above_cap(spec, len(sigma)) and above_cap(spec, len(sigma) - 1)
 
     def test_vertex_cap(self):
         with pytest.raises(VertexCapError, match="cap"):
@@ -241,25 +243,32 @@ class TestGenerationContracts:
                      FamilySpec.intersection(10 ** 6, 5 * 10 ** 5)):
             with pytest.raises(VertexCapError, match="more vertices than the cap of 20000$"):
                 generate(huge)
-        with pytest.raises(VertexCapError):
-            generate(FamilySpec.kneser(9, 4), max_vertices=100)
-        assert generate(FamilySpec.kneser(9, 4), max_vertices=126).n == 126
+        assert generate(FamilySpec.path(DEFAULT_MAX_VERTICES)).n == DEFAULT_MAX_VERTICES
+        with pytest.raises(VertexCapError, match=r"^path\(n=20001\) has more vertices"):
+            generate(FamilySpec.path(DEFAULT_MAX_VERTICES + 1))
 
     def test_colex_subset_order(self):
         assert colex_subsets(4, 2) == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
 
     def test_above_cap_matches_the_exact_order(self):
         specs = [FamilySpec.hypercube(n) for n in range(1, 9)]
-        specs += [FamilySpec.kneser(p, k) for p in range(1, 12) for k in (1, 2, 3, 4)
-                  if k == 1 <= p or p >= 2 * k + 1]
+        specs += [FamilySpec.kneser(p, k) for p in range(2, 12) for k in (1, 2, 3, 4)
+                  if k == 1 or p >= 2 * k + 1]
         specs += [FamilySpec.intersection(p, t) for p in range(3, 12) for t in range(2, p)]
         specs += [FamilySpec.nanotorus(4, 6), FamilySpec.path(7), FamilySpec.complete(1)]
         for spec in specs:
-            order = expected_order(spec)
+            order = generate(spec).n
             for cap in sorted({-1, 0, 1, order - 1, order, order + 1}):
                 assert above_cap(spec, cap) == (order > cap), (spec, cap)
 
     def test_expected_order(self):
-        assert expected_order(FamilySpec.hypercube(10)) == 1024
-        assert expected_order(FamilySpec.kneser(9, 4)) == 126
-        assert expected_order(FamilySpec.nanotorus(8, 6)) == 48
+        # above_cap is the only route to a spec's order; the built graph is another
+        specs = [FamilySpec.hypercube(10), FamilySpec.kneser(9, 4), FamilySpec.nanotorus(8, 6)]
+        assert [generate(spec).n for spec in specs] == [1024, 126, 48]
+        specs += default_grid()
+        specs += [FamilySpec.path(n) for n in (1, 2, 9)]
+        specs += [FamilySpec.cycle(n) for n in (3, 10)]
+        specs += [FamilySpec.complete(n) for n in (1, 2, 7)]
+        for spec in specs:
+            n = generate(spec).n
+            assert not above_cap(spec, n) and above_cap(spec, n - 1), spec
