@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import product
 from json.encoder import encode_basestring_ascii
 from math import comb, isqrt
 from typing import Any, Callable, Iterator, Sequence
@@ -25,7 +26,7 @@ from .families import (
     above_cap,
     generate,
 )
-from .graph import format_edge_list, parse_edge_list, transmission_profile
+from .graph import DEFAULT_MAX_VERTICES, format_edge_list, parse_edge_list, transmission_profile
 from .indices import complement_bounds, compute_index_bundle
 from .verify import (
     DEFAULT_SEED,
@@ -95,12 +96,23 @@ def _integer(text: str) -> int:
 
 
 def _parse_range(text: str) -> range:
-    """``a..b`` inclusive, or a single integer."""
+    """``a..b`` inclusive, or a single integer. A range ends at most at
+    the vertex cap and holds at most one value more than it: every valid
+    spec of a closed-form family has at least as many vertices as each
+    of its parameters, so no larger parameter can be checked."""
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = _integer(lo_text), _integer(hi_text)
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
+        if hi > DEFAULT_MAX_VERTICES:
+            raise ValueError(
+                f"range {text!r} ends above the vertex cap of {DEFAULT_MAX_VERTICES}"
+            )
+        if hi - lo > DEFAULT_MAX_VERTICES:
+            raise ValueError(
+                f"range {text!r} holds more than {DEFAULT_MAX_VERTICES + 1} values"
+            )
         return range(lo, hi + 1)
     value = _integer(text)
     return range(value, value + 1)
@@ -132,25 +144,13 @@ def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
     return FamilySpec(args.family, tuple(_family_params(args, _integer)))
 
 
-def _product(ranges: Sequence[range]) -> Iterator[tuple[int, ...]]:
-    """``itertools.product(*ranges)`` without copying each range into a
-    tuple first: the tuples in lexicographic order, one at a time."""
-    if not ranges:
-        yield ()
-        return
-    for head in _product(ranges[:-1]):
-        for value in ranges[-1]:
-            yield (*head, value)
-
-
 def _specs_from_ranges(family: str, ranges: Sequence[range],
                        skipped: list[str]) -> Iterator[FamilySpec]:
     """The specs of the ranges' Cartesian product, one at a time. An
     invalid combination is appended to ``skipped`` (reported, not fatal)
     so a sweep can pass constraint boundaries, unless it is the only one."""
-    # not len(), which overflows on a range longer than sys.maxsize
-    single = all(values.stop - values.start == 1 for values in ranges)
-    for combo in _product(ranges):
+    single = all(len(values) == 1 for values in ranges)
+    for combo in product(*ranges):
         try:
             spec = FamilySpec(family, combo)
         except FamilyError as exc:

@@ -29,13 +29,6 @@ class FormulaValue(NamedTuple):
     def erratum(self) -> bool:
         return self.as_printed != self.corrected
 
-    def value(self, mode: str) -> int:
-        if mode == "corrected":
-            return self.corrected
-        if mode == "as_printed":
-            return self.as_printed
-        raise ValueError(f"unknown mode {mode!r}")
-
 
 class ClosedFormReport(NamedTuple):
     """Closed-form structure constants and index values for one family
@@ -84,38 +77,25 @@ def _corrected_report(
 
 
 def intersection_closed_forms(p: int, t: int) -> ClosedFormReport:
-    """Indices of the t-subset intersection graph on a p-set.
-
-    Two branches: for p >= 2t some pairs of subsets are disjoint
-    (distance 2); for p < 2t every pair intersects and the graph is
-    complete.
+    """Indices of the t-subset intersection graph on a p-set: two subsets
+    are at distance 2 when disjoint. For p < 2t no two are, C(p-t, t) = 0,
+    and the same expressions give the complete graph.
     """
     spec = FamilySpec.intersection(p, t)
     n = comb(p, t)
-    if p >= 2 * t:
-        disjoint = comb(p - t, t)
-        degree = n - disjoint - 1
-        k = n + disjoint - 1
-        printed = {
-            "s1": n * (n - disjoint - 1) * (n + disjoint - 1),
-            "s2": _exact_div(
-                n * (n - disjoint - 1) * (n + disjoint - 1) ** 2, 2,
-                "intersection s2 prefactor",
-            ),
-            "s1_co": disjoint * n * (n + disjoint - 1),
-            "s2_co": (comb(n, 2) - _exact_div(n * (n - disjoint - 1), 2, "edge count"))
-            * (n + disjoint - 1) ** 2,
-        }
-    else:
-        degree = n - 1
-        k = n - 1
-        printed = {
-            "s1": n * (n - 1) ** 2,
-            "s2": _exact_div(n * (n - 1) ** 3, 2, "intersection s2 prefactor"),
-            "s1_co": 2 * comb(n, 2) * (n - 1) - n * (n - 1) ** 2,
-            "s2_co": (comb(n, 2) - _exact_div(n * (n - 1), 2, "edge count"))
-            * (n - 1) ** 2,
-        }
+    disjoint = comb(p - t, t)
+    degree = n - disjoint - 1
+    k = n + disjoint - 1
+    printed = {
+        "s1": n * (n - disjoint - 1) * (n + disjoint - 1),
+        "s2": _exact_div(
+            n * (n - disjoint - 1) * (n + disjoint - 1) ** 2, 2,
+            "intersection s2 prefactor",
+        ),
+        "s1_co": disjoint * n * (n + disjoint - 1),
+        "s2_co": (comb(n, 2) - _exact_div(n * (n - disjoint - 1), 2, "edge count"))
+        * (n + disjoint - 1) ** 2,
+    }
     m = _exact_div(n * degree, 2, "intersection edge count")
     return _corrected_report(spec, n, m, degree, k, printed)
 

@@ -8,7 +8,7 @@ adjacency lists.
 from __future__ import annotations
 
 from itertools import combinations, compress
-from math import prod
+from math import comb, prod
 from operator import not_
 
 from .graph import DEFAULT_MAX_VERTICES, Graph
@@ -33,7 +33,13 @@ class FamilyError(ValueError):
 
 
 class VertexCapError(FamilyError):
-    """Requested graph exceeds the vertex cap."""
+    """Requested graph exceeds the vertex cap or the edge cap."""
+
+
+#: Most edges ``generate`` builds. Building a graph and writing it as an
+#: edge list take about 155 bytes per edge, so this keeps ``generate``
+#: near 300 MB; the vertex cap alone allows K20000, about 2 * 10^8 edges.
+MAX_EDGES = 2_000_000
 
 
 class FamilySpec:
@@ -183,6 +189,27 @@ def above_cap(spec: FamilySpec, cap: int) -> bool:
     return prod(params) > cap
 
 
+def edge_count(spec: FamilySpec) -> int:
+    """The number of edges of generate(spec), in closed form; for a spec
+    within the vertex cap."""
+    kind, params = spec.kind, spec.params
+    if kind == "hypercube":
+        (n,) = params
+        return n << (n - 1)
+    if kind == "kneser":
+        p, k = params
+        return comb(p, k) * comb(p - k, k) // 2
+    if kind == "intersection":
+        p, t = params
+        n = comb(p, t)
+        return n * (n - comb(p - t, t) - 1) // 2
+    if kind == "nanotorus":
+        p, q = params
+        return 3 * p * q // 2
+    (n,) = params
+    return {"path": n - 1, "cycle": n}.get(kind, n * (n - 1) // 2)
+
+
 def colex_subsets(p: int, k: int) -> list[tuple[int, ...]]:
     """All k-subsets of {0..p-1} in colexicographic order."""
     return sorted(combinations(range(p), k), key=lambda s: s[::-1])
@@ -254,11 +281,15 @@ def _complete(n: int) -> Graph:
 
 
 def generate(spec: FamilySpec) -> Graph:
-    """Build the graph for ``spec``; raises VertexCapError above the cap."""
+    """Build the graph for ``spec``; raises VertexCapError above the
+    vertex cap or the edge cap, before anything is built."""
     if above_cap(spec, DEFAULT_MAX_VERTICES):
         raise VertexCapError(
             f"{spec.label()} has more vertices than the cap of {DEFAULT_MAX_VERTICES}"
         )
+    m = edge_count(spec)
+    if m > MAX_EDGES:
+        raise VertexCapError(f"{spec.label()} has {m} edges, more than the cap of {MAX_EDGES}")
     kind, params = spec.kind, spec.params
     if kind == "hypercube":
         return _hypercube(params[0])

@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 from typing import Iterable, NamedTuple
 
-from .closed_forms import INDEX_NAMES, ClosedFormReport, closed_forms_for
+from .closed_forms import INDEX_NAMES, closed_forms_for
 from .families import FamilySpec, generate
-from .graph import DisconnectedGraphError, Graph, TransmissionProfile, transmission_profile
+from .graph import DisconnectedGraphError, Graph, transmission_profile
 from .indices import (
     complement_bounds,
     diam2_coindex_formulas,
@@ -156,53 +156,6 @@ class VerificationReport:
         return not any(c.hard_failure for c in self.cases)
 
 
-def _family_rows(
-    case_id: str,
-    spec: FamilySpec,
-    tp: TransmissionProfile,
-    computed: dict[str, int],
-    cf: ClosedFormReport,
-    mode: str,
-    note: str,
-) -> list[VerificationCase]:
-    rows = []
-    if tp.regular_k is None:
-        rows.append(
-            VerificationCase(
-                case_id, "sigma", oracle=-1, formula=cf.sigma, mode=mode,
-                match=False, note="generated graph is not transmission-regular",
-            )
-        )
-    else:
-        rows.append(
-            VerificationCase(
-                case_id, "sigma", oracle=tp.regular_k, formula=cf.sigma,
-                mode=mode, match=tp.regular_k == cf.sigma, note=note,
-            )
-        )
-    rows.append(
-        VerificationCase(
-            case_id, "wiener", oracle=tp.wiener, formula=cf.wiener,
-            mode=mode, match=tp.wiener == cf.wiener, note=note,
-        )
-    )
-    for name in INDEX_NAMES:
-        formula = cf.indices[name].value(mode)
-        oracle = computed[name]
-        match = oracle == formula
-        erratum = None
-        if mode == "as_printed" and not match:
-            erratum = registered_erratum(spec.kind, name)
-        rows.append(
-            VerificationCase(
-                case_id, name, oracle=oracle, formula=formula, mode=mode,
-                match=match, registered_erratum=erratum is not None,
-                note=erratum.note if erratum else note,
-            )
-        )
-    return rows
-
-
 def verify_family(spec: FamilySpec, mode: str = "corrected") -> VerificationReport:
     """Generate the family member, compute every index by its defining
     sum, and compare with the closed forms.
@@ -218,9 +171,7 @@ def verify_family(spec: FamilySpec, mode: str = "corrected") -> VerificationRepo
     g = generate(spec)
     cf = closed_forms_for(spec)
     tp = transmission_profile(g)
-    s1, s2 = status_indices(g, tp)
-    s1_co, s2_co = status_coindices_direct(g, tp)
-    computed = {"s1": s1, "s2": s2, "s1_co": s1_co, "s2_co": s2_co}
+    oracles = status_indices(g, tp) + status_coindices_direct(g, tp)
     note = ""
     if spec.kind == "nanotorus" and tp.regular_k is not None and cf.sigma != tp.regular_k:
         p, q = spec.params
@@ -228,9 +179,25 @@ def verify_family(spec: FamilySpec, mode: str = "corrected") -> VerificationRepo
         if exchanged.sigma == tp.regular_k:
             cf = exchanged
             note = f"published formulas match under parameter exchange (p,q)=({q},{p})"
-    return VerificationReport(
-        cases=_family_rows(spec.label(), spec, tp, computed, cf, mode, note)
-    )
+    # (index, oracle, formula, note); a non-regular graph has no sigma (-1)
+    checks = [
+        ("sigma", -1, cf.sigma, "generated graph is not transmission-regular")
+        if tp.regular_k is None else ("sigma", tp.regular_k, cf.sigma, note),
+        ("wiener", tp.wiener, cf.wiener, note),
+    ]
+    checks += [
+        (name, oracle, getattr(cf.indices[name], mode), note)
+        for name, oracle in zip(INDEX_NAMES, oracles)
+    ]
+    rows = []
+    for name, oracle, formula, row_note in checks:
+        erratum = (registered_erratum(spec.kind, name)
+                   if mode == "as_printed" and oracle != formula else None)
+        rows.append(VerificationCase(
+            spec.label(), name, oracle, formula, mode, oracle == formula,
+            erratum is not None, erratum.note if erratum else row_note,
+        ))
+    return VerificationReport(cases=rows)
 
 
 def verify_identities(
@@ -247,77 +214,50 @@ def verify_identities(
     ``tag`` adds rows for registered fixture errata (published values).
     """
     tp = transmission_profile(g)
-    rows = []
     s1, s2 = status_indices(g, tp)
     s1_co, s2_co = status_coindices_direct(g, tp)
     id1, id2 = status_coindices_identity(tp, s1, s2)
-    rows.append(
-        VerificationCase(
-            case_id, "identity.s1_co", oracle=s1_co, formula=id1,
-            mode="corrected", match=s1_co == id1,
-        )
-    )
-    rows.append(
-        VerificationCase(
-            case_id, "identity.s2_co", oracle=s2_co, formula=id2,
-            mode="corrected", match=s2_co == id2,
-        )
-    )
+    # (index, oracle, formula): the rows that must match exactly
+    equal = [("identity.s1_co", s1_co, id1), ("identity.s2_co", s2_co, id2)]
     if tp.diameter <= 2:
         d2 = diam2_coindex_formulas(g, tp)
-        for name, value, oracle in (
-            ("diam2_zagreb.s1_co", d2.s1_co_from_zagreb, s1_co),
-            ("diam2_zagreb.s2_co", d2.s2_co_from_zagreb, s2_co),
-            ("diam2_zagreb_co.s1_co", d2.s1_co_from_zagreb_co, s1_co),
-            ("diam2_zagreb_co.s2_co", d2.s2_co_from_zagreb_co, s2_co),
-        ):
-            rows.append(
-                VerificationCase(
-                    case_id, name, oracle=oracle, formula=value,
-                    mode="corrected", match=oracle == value,
-                )
-            )
+        equal += [
+            ("diam2_zagreb.s1_co", s1_co, d2.s1_co_from_zagreb),
+            ("diam2_zagreb.s2_co", s2_co, d2.s2_co_from_zagreb),
+            ("diam2_zagreb_co.s1_co", s1_co, d2.s1_co_from_zagreb_co),
+            ("diam2_zagreb_co.s2_co", s2_co, d2.s2_co_from_zagreb_co),
+        ]
+    # (index, oracle, formula, match, note)
+    checks = [(name, oracle, formula, oracle == formula, "") for name, oracle, formula in equal]
     try:
         bounds = complement_bounds(g)
     except DisconnectedGraphError:
-        bounds = None
-    if bounds is not None:
-        rows.append(
-            VerificationCase(
-                case_id, "complement_bound.s1", oracle=bounds.s1_actual,
-                formula=bounds.s1_lower, mode="corrected",
-                match=bounds.s1_actual >= bounds.s1_lower, note="lower bound",
-            )
-        )
-        rows.append(
-            VerificationCase(
-                case_id, "complement_bound.s2", oracle=bounds.s2_actual,
-                formula=bounds.s2_lower, mode="corrected",
-                match=bounds.s2_actual >= bounds.s2_lower, note="lower bound",
-            )
-        )
+        pass
+    else:
         diam_le_2 = bounds.complement_diameter <= 2
-        rows.append(
-            VerificationCase(
-                case_id, "complement_bound.equality_iff",
-                oracle=int(diam_le_2), formula=int(bounds.equality),
-                mode="corrected", match=diam_le_2 == bounds.equality,
-                note="equality must hold exactly when diam(complement) <= 2",
-            )
-        )
+        checks += [
+            ("complement_bound.s1", bounds.s1_actual, bounds.s1_lower,
+             bounds.s1_actual >= bounds.s1_lower, "lower bound"),
+            ("complement_bound.s2", bounds.s2_actual, bounds.s2_lower,
+             bounds.s2_actual >= bounds.s2_lower, "lower bound"),
+            ("complement_bound.equality_iff", int(diam_le_2), int(bounds.equality),
+             diam_le_2 == bounds.equality,
+             "equality must hold exactly when diam(complement) <= 2"),
+        ]
+    rows = [
+        VerificationCase(case_id, name, oracle, formula, "corrected", match, note=note)
+        for name, oracle, formula, match, note in checks
+    ]
     if tag is not None:
         computed = {"s1": s1, "s2": s2, "s1_co": s1_co, "s2_co": s2_co,
                     "wiener": tp.wiener}
         for e in fixture_errata(tag):
             oracle = computed[e.index]
-            rows.append(
-                VerificationCase(
-                    case_id, f"published.{e.index}", oracle=oracle,
-                    formula=e.printed_value if e.printed_value is not None else oracle,
-                    mode="as_printed", match=oracle == e.printed_value,
-                    registered_erratum=True, note=e.note,
-                )
-            )
+            formula = oracle if e.printed_value is None else e.printed_value
+            rows.append(VerificationCase(
+                case_id, f"published.{e.index}", oracle, formula, "as_printed",
+                oracle == e.printed_value, True, e.note,
+            ))
     return VerificationReport(cases=rows)
 
 

@@ -1,10 +1,10 @@
 from __future__ import annotations
 
 import io
-import itertools
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from unittest import mock
 
@@ -476,36 +476,75 @@ class TestVerify:
         assert err == (f"error: family {family!r} does not take {flag} "
                        f"(its parameters are {params})\n")
 
+    @pytest.mark.parametrize("argv", (
+        ("generate", "--family", "kneser", "--p", "200", "--k", "2"),
+        ("generate", "--family", "complete", "--n", "20000"),
+        ("verify", "--family", "intersection", "--p", "15", "--t", "8"),
+    ))
+    def test_dense_specs_fail_on_the_edge_cap(self, capsys, argv):
+        # a spec under the vertex cap can still have far too many edges:
+        # it must be rejected before anything is built
+        labels = {"kneser": ("kneser(p=200, k=2)", 194054850),
+                  "complete": ("complete(n=20000)", 199990000),
+                  "intersection": ("intersection(p=15, t=8)", 20701395)}
+        label, edges = labels[argv[2]]
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("generator reached")
+
+        with mock.patch("statusindex.families._subset_graph", unreachable), \
+                mock.patch("statusindex.families._complete", unreachable):
+            code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {label} has {edges} edges, more than the cap of 2000000\n"
+
+    @pytest.mark.parametrize("value, message", (
+        ("1..20001", "ends above the vertex cap of 20000"),
+        (f"15..{10 ** 30}", "ends above the vertex cap of 20000"),
+        ("-1..20000", "holds more than 20001 values"),
+    ))
+    def test_range_past_the_vertex_cap_exits_2(self, capsys, value, message):
+        code, out, err = run(capsys, "verify", "--family", "hypercube", f"--n={value}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: range {value!r} {message}\n"
+
+    def test_longest_range_is_swept(self, capsys):
+        code, out, err = run(capsys, "verify", "--family", "intersection",
+                             "--p=0..20000", "--t", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: no cases checked (20001 invalid parameter combinations skipped)\n"
+
     @pytest.mark.skipif(resource is None, reason="needs the resource module")
-    @pytest.mark.parametrize("ranges, label", (
-        (("--family", "hypercube", "--n", "30..30000000"), "hypercube(n=30)"),
+    @pytest.mark.parametrize("ranges, message, seconds", (
+        (("--family", "hypercube", "--n", "30..30000000"),
+         "range '30..30000000' ends above the vertex cap of 20000", None),
         (("--family", "kneser", "--p", "30..20000", "--k", "20..20000"),
-         "kneser(p=41, k=20)"),
-        # a range longer than sys.maxsize, which len() cannot measure
-        (("--family", "hypercube", "--n", f"15..{10 ** 30}"), "hypercube(n=15)"),
-    ), ids=("hypercube", "kneser", "beyond-maxsize"))
-    def test_hostile_range_exits_2_in_bounded_memory(self, ranges, label):
-        # a sweep takes one spec at a time, so the first over the cap ends it
+         "kneser(p=41, k=20) has more vertices than the cap of 20000", None),
+        (("--family", "hypercube", "--n", f"15..{10 ** 30}"),
+         f"range '15..{10 ** 30}' ends above the vertex cap of 20000", None),
+        # two million invalid combinations, none of them checked
+        (("--family", "kneser", "--p", "3", "--k", "1..2000000"),
+         "range '1..2000000' ends above the vertex cap of 20000", 1.0),
+    ), ids=("hypercube", "kneser", "beyond-maxsize", "long-skipped-sweep"))
+    def test_hostile_range_exits_2_in_bounded_memory(self, ranges, message, seconds):
+        # a range ending above the cap is rejected as it is read; a sweep
+        # takes one spec at a time, so the first over the cap ends it
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
+        start = time.perf_counter()
         result = subprocess.run(
             [sys.executable, "-m", "statusindex", "verify", *ranges],
             capture_output=True, text=True, preexec_fn=limit_memory,
         )
+        elapsed = time.perf_counter() - start
         assert result.returncode == 2, result.stderr
         assert result.stdout == ""
-        assert result.stderr == f"error: {label} has more vertices than the cap of 20000\n"
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(
-    st.builds(lambda start, length: range(start, start + length),
-              st.integers(-5, 5), st.integers(1, 4)),
-    max_size=3,
-))
-def test_lazy_product_matches_itertools_product(ranges):
-    assert list(cli._product(ranges)) == list(itertools.product(*ranges))
+        assert result.stderr == f"error: {message}\n"
+        assert seconds is None or elapsed < seconds
 
 
 class TestBounds:

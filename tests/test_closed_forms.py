@@ -9,11 +9,14 @@ from statusindex import (
     FamilyError,
     FamilySpec,
     closed_forms_for,
+    compute_index_bundle,
     generate,
     hypercube_closed_forms,
     intersection_closed_forms,
     kneser_closed_forms,
     nanotorus_closed_forms,
+    status_coindices_direct,
+    transmission_profile,
 )
 from statusindex.closed_forms import kneser_distance
 
@@ -40,6 +43,21 @@ class TestIntersectionClosedForms:
         assert corrected(report)["s1"] == 3 * (3 - 1) ** 2 == 12
         assert corrected(report)["s1_co"] == 0
         assert corrected(report)["s2_co"] == 0
+        # for p < 2t no two t-subsets are disjoint, C(p-t, t) = 0, and the
+        # general expressions give the complete graph
+        specs = [(p, t) for p in range(3, 201) for t in range(2, p)
+                 if p < 2 * t and comb(p, t) <= 200]
+        assert len(specs) == 220
+        for p, t in specs:
+            report = intersection_closed_forms(p, t)
+            g = generate(FamilySpec.intersection(p, t))
+            tp = transmission_profile(g)
+            bundle = compute_index_bundle(g, tp)
+            expected = {"s1": bundle.s1, "s2": bundle.s2, "s1_co": bundle.s1_co,
+                        "s2_co": bundle.s2_co}
+            assert (report.degree, report.sigma) == (report.n - 1, report.n - 1), (p, t)
+            assert corrected(report) == printed(report) == expected, (p, t)
+            assert status_coindices_direct(g, tp) == (0, 0), (p, t)
 
     def test_p6_t2(self):
         report = intersection_closed_forms(6, 2)

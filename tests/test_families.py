@@ -17,7 +17,7 @@ from statusindex import (
     transmission_profile,
 )
 from statusindex import families
-from statusindex.families import above_cap, colex_subsets, validate
+from statusindex.families import MAX_EDGES, above_cap, colex_subsets, edge_count, validate
 
 from oracles import complement, oracle_profile, subset_graph_adjacency
 
@@ -272,3 +272,24 @@ class TestGenerationContracts:
         for spec in specs:
             n = generate(spec).n
             assert not above_cap(spec, n) and above_cap(spec, n - 1), spec
+
+    def test_edge_count_matches_the_generated_graph(self):
+        specs = [FamilySpec.hypercube(n) for n in range(1, 10)]
+        specs += [FamilySpec.kneser(p, k) for p in range(2, 12) for k in (1, 2, 3, 4)
+                  if k == 1 or p >= 2 * k + 1]
+        specs += [FamilySpec.intersection(p, t) for p in range(3, 12) for t in range(2, p)]
+        specs += [FamilySpec.nanotorus(p, q) for p in (2, 4, 6) for q in (2, 4, 8) if p * q > 4]
+        specs += [FamilySpec.path(n) for n in (1, 2, 9)]
+        specs += [FamilySpec.cycle(n) for n in (3, 10)]
+        specs += [FamilySpec.complete(n) for n in (1, 2, 7)]
+        for spec in specs:
+            assert edge_count(spec) == generate(spec).m, spec
+
+    def test_edge_cap(self):
+        # the densest graph the benchmark builds stays far below the cap
+        assert edge_count(FamilySpec.intersection(13, 4)) == 210210
+        assert edge_count(FamilySpec.complete(2000)) <= MAX_EDGES
+        assert edge_count(FamilySpec.complete(2001)) > MAX_EDGES
+        with pytest.raises(VertexCapError, match=r"^complete\(n=2001\) has 2001000 edges, "
+                           r"more than the cap of 2000000$"):
+            generate(FamilySpec.complete(2001))
