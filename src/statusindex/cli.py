@@ -82,8 +82,10 @@ def _print_payload(payload: dict[str, Any], args: argparse.Namespace,
 
 
 def _read_graph(path: str):
+    # A file is parsed as it is read. A pipe cannot be read twice, so it
+    # is read whole, for the parser to name a repeated edge's line.
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_edge_list(handle.read())
+        return parse_edge_list(handle if handle.seekable() else handle.read())
 
 
 def _integer(text: str) -> int:

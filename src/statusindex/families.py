@@ -226,7 +226,8 @@ def _hypercube(n: int) -> Graph:
 def _subset_graph(p: int, k: int, adjacent_when_disjoint: bool) -> Graph:
     # Subsets as bitmasks, so a & b is their intersection; compress
     # keeps the colex ranks whose intersection with a is (non)empty.
-    masks = [sum(1 << i for i in s) for s in colex_subsets(p, k)]
+    bit = [1 << i for i in range(p)]
+    masks = [sum(map(bit.__getitem__, s)) for s in colex_subsets(p, k)]
     ranks = range(len(masks))
     adjacency = []
     for u, a in enumerate(masks):

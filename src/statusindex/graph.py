@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 from operator import lt
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 #: Largest vertex count that parsing and generation accept by default.
 DEFAULT_MAX_VERTICES = 20_000
@@ -62,43 +62,40 @@ class Graph:
             raise GraphError(f"vertex count must be positive, got {n}")
         if len(rows) != n:
             raise GraphError(f"adjacency has {len(rows)} rows for n={n}")
-        # One O(n + m) pass. The transpose gets its sources in increasing
-        # order, so its rows come out sorted and symmetry is row equality.
-        transpose: list[list[int]] = [[] for _ in range(n)]
+        # One O(n + m) pass against the lower-triangle transpose: lower[u]
+        # collects, in increasing order, each w < u whose row lists u. Row
+        # u must be lower[u] followed by increasing entries above u and
+        # below n, which rules out self-loops too. Only those upper entries
+        # are then owed to later rows, so lower holds just the pairs still
+        # to be checked.
+        lower: list[list[int] | None] = [[] for _ in range(n)]
         for u, row in enumerate(rows):
-            if not row:
-                continue
-            if u in row:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not all(map(lt, row, row[1:])):
-                v = next((v for v, w in zip(row, row[1:]) if v == w), None)
-                repeated = "" if v is None else f"duplicate edge ({u}, {v}): "
-                raise GraphError(f"{repeated}adjacency[{u}] not sorted/deduplicated")
-            if row[0] < 0 or row[-1] >= n:
-                bad = row[0] if row[0] < 0 else row[-1]
-                raise GraphError(f"neighbor {bad} of vertex {u} out of range")
-            for v in row:
-                transpose[v].append(u)
-        for u, row in enumerate(rows):
-            if tuple(transpose[u]) != tuple(row):
-                v = min(set(row).symmetric_difference(transpose[u]))
-                a, b = (u, v) if v in row else (v, u)
-                raise GraphError(f"asymmetric adjacency: {a}->{b} without {b}->{a}")
+            below = lower[u]
+            lower[u] = None
+            k = len(below)
+            upper = row[k:]
+            if row[:k] != tuple(below) or upper and (
+                upper[0] <= u or upper[-1] >= n or not all(map(lt, upper, upper[1:]))
+            ):
+                _check_row(u, row, below, n)  # raises, unless row is a valid list
+            for v in upper:
+                lower[v].append(u)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         """Build a graph from an iterable of (u, v) pairs. Ids are range
         checked as they come, so a negative one cannot wrap to another row;
         validating the sorted rows rejects self-loops and duplicate edges."""
-        rows: list[list[int]] = [[] for _ in range(n)]
+        rows: list[Any] = [[] for _ in range(n)]  # lists, then their tuples
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
             rows[u].append(v)
             rows[v].append(u)
-        for row in rows:
+        for u, row in enumerate(rows):
             row.sort()
-        return cls(n, tuple(map(tuple, rows)))
+            rows[u] = tuple(row)  # the list goes as its tuple comes
+        return cls(n, tuple(rows))
 
     @property
     def m(self) -> int:
@@ -134,6 +131,25 @@ class Graph:
                     yield u, v
 
 
+def _check_row(u: int, row: Sequence[int], below: list[int], n: int) -> None:
+    """Raise the first fault of row ``u``: a self-loop, order, range, or
+    a lower part other than ``below``, the w < u whose rows list ``u``."""
+    if u in row:
+        raise GraphError(f"self-loop at vertex {u}")
+    if not all(map(lt, row, row[1:])):
+        v = next((v for v, w in zip(row, row[1:]) if v == w), None)
+        repeated = "" if v is None else f"duplicate edge ({u}, {v}): "
+        raise GraphError(f"{repeated}adjacency[{u}] not sorted/deduplicated")
+    if row and (row[0] < 0 or row[-1] >= n):
+        bad = row[0] if row[0] < 0 else row[-1]
+        raise GraphError(f"neighbor {bad} of vertex {u} out of range")
+    lower_part = [v for v in row if v < u]
+    if lower_part != below:
+        v = min(set(below).symmetric_difference(lower_part))
+        a, b = (u, v) if v in row else (v, u)
+        raise GraphError(f"asymmetric adjacency: {a}->{b} without {b}->{a}")
+
+
 class TransmissionProfile(NamedTuple):
     """Per-vertex status values plus the derived distance invariants.
 
@@ -150,8 +166,8 @@ class TransmissionProfile(NamedTuple):
     regular_k: int | None
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse edge-list text into a Graph.
+def parse_edge_list(source: str | TextIO) -> Graph:
+    """Parse edge-list text, or a seekable text file, into a Graph.
 
     Only ``\\n``, ``\\r\\n`` and ``\\r`` end a line. Lines are blank,
     ``# comment``, an optional ``n <N>`` header on the first content
@@ -162,15 +178,19 @@ def parse_edge_list(text: str) -> Graph:
 
     One pass checks each line as it reads it, ids against the header or
     the cap before anything of that size is allocated, and appends each
-    edge straight to both endpoints' rows; no list of the edges is kept.
-    Each error names its line. Repeated edges are left to the graph's
-    validation: only when it rejects one is the text read again, to name
-    the line that repeats an earlier edge.
+    edge straight to both endpoints' rows; no list of the edges is kept,
+    and a file (opened with universal newlines, the default) is read a
+    line at a time, never whole. Each error names its line. Repeated
+    edges are left to the graph's validation: only when it rejects one
+    are the lines read again, the file from its start, to name the line
+    that repeats an earlier edge.
     """
+    if isinstance(source, str):
+        source = io.StringIO(source, newline=None)
     header_n: int | None = None
-    ids: dict[str, int] = {}  # token -> vertex id, each checked once
-    rows: list[list[int]] = []  # one per vertex, allocated before any edge
-    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+    ids: dict[str, int] = {}  # canonical token -> vertex id, each checked once
+    rows: list[Any] = []  # one list per vertex, allocated before any edge
+    for lineno, line in enumerate(source, start=1):
         try:
             a, b = line.split()
             u, v = ids[a], ids[b]
@@ -210,7 +230,9 @@ def parse_edge_list(text: str) -> Graph:
                 raise ParseError(
                     f"line {lineno}: edge ({u}, {v}) exceeds declared vertex count {header_n}"
                 )
-            ids[parts[0]], ids[parts[1]] = u, v
+            # keyed by the canonical token, so "007" adds no key and 7 is
+            # stored as one int object however often it is written
+            u, v = ids.setdefault(str(u), u), ids.setdefault(str(v), v)
             if max(u, v) >= len(rows):  # header-less: grow to the largest id
                 rows.extend([] for _ in range(max(u, v) + 1 - len(rows)))
         if u == v:
@@ -219,16 +241,18 @@ def parse_edge_list(text: str) -> Graph:
         rows[v].append(u)
     if not rows:
         raise ParseError("no edges and no 'n <N>' header: vertex count unknown")
-    for row in rows:
+    for u, row in enumerate(rows):
         row.sort()
+        rows[u] = tuple(row)  # the list goes as its tuple comes
     try:
-        return Graph(len(rows), tuple(map(tuple, rows)))
+        return Graph(len(rows), tuple(rows))
     except GraphError:
         # Every edge passed its line's checks, so the graph rejected a
-        # repeated one: read the text again to name the line that repeats
+        # repeated one: read the lines again to name the line that repeats
         # an earlier edge. Only edge lines start with a digit.
+        source.seek(0)
         seen: set[frozenset[int]] = set()
-        for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        for lineno, line in enumerate(source, start=1):
             parts = line.split()
             if parts and parts[0].isdigit():
                 u, v = map(int, parts)

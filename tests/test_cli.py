@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -120,6 +121,42 @@ class TestCompute:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == "error: line 5: duplicate edge 2 1\n"
+
+    @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
+    def test_piped_duplicate_names_its_line(self, demo5_path):
+        # a pipe cannot be read twice, so it is read whole as text
+        def compute(text):
+            return subprocess.run(
+                [sys.executable, "-m", "statusindex", "compute", "/dev/stdin"],
+                input=text, capture_output=True, text=True,
+            )
+
+        result = compute("n 3\n0 1\n1 2\n1 0\n")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: line 4: duplicate edge 1 0\n"
+        result = compute(demo5_path.read_text())
+        assert (result.returncode, result.stderr) == (0, "")
+        assert "s1: 74" in result.stdout
+
+    def test_invalid_utf8_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.edges"
+        path.write_bytes(b"0 1\n# caf\xe9\n1 2\n")
+        code, out, err = run(capsys, "compute", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9 in position ")
+        assert "Traceback" not in err
+
+    def test_line_error_before_a_bad_byte_comes_first(self, capsys, tmp_path):
+        # the file is decoded as it is read, 8192 bytes at a time, so a
+        # line in an earlier chunk than the bad byte is checked first
+        path = tmp_path / "late.edges"
+        path.write_bytes(b"0 1\n1 1\n" + b"# padding\n" * 1000 + b"\xff\n")
+        code, out, err = run(capsys, "compute", str(path))
+        assert (code, out, err) == (2, "", "error: line 2: self-loop 1 1\n")
+        path.write_bytes(b"0 1\n1 2\n" + b"# padding\n" * 1000 + b"\xff\n")
+        code, out, err = run(capsys, "compute", str(path))
+        assert code == 2
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff in position ")
 
     def test_internal_error_exits_3(self, capsys, demo5_path, monkeypatch):
         def broken(g, tp):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import copy
 import pickle
 import re
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from statusindex import (
     transmission_profile,
 )
 from statusindex import graph as graph_module
+from statusindex.cli import _read_graph, main
 from statusindex.verify import demo_graph, random_connected_graph
 
 from oracles import complement, oracle_profile, reference_parse
@@ -74,6 +77,20 @@ def edge_list_texts(draw):
                          min_size=len(lines), max_size=len(lines)))
     text = "".join(line + end for line, end in zip(lines, ends))
     return text[:-1] if text.endswith("\n") and draw(st.booleans()) else text
+
+
+def assert_file_reads_like_the_text(path, text):
+    """``_read_graph`` on ``text`` written unchanged to ``path`` gives
+    the graph, or the error text, that ``parse_edge_list(text)`` gives."""
+    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        expected = parse_edge_list(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            _read_graph(str(path))
+        assert str(info.value) == str(exc)
+    else:
+        assert _read_graph(str(path)) == expected
 
 
 def random_graphs(max_n=10):
@@ -147,6 +164,41 @@ class TestGraphValidation:
     def test_constructor_rejects(self, n, adjacency, message):
         with pytest.raises(GraphError, match=message):
             Graph(n, adjacency)
+
+    @pytest.mark.parametrize(
+        "adjacency, message",
+        [
+            (((), (0, 2), (1,)), "1->0 without 0->1"),
+            (((1,), (2,), (1,)), "0->1 without 1->0"),
+            (((1, 2), (0,), ()), "0->2 without 2->0"),
+        ],
+        ids=("missing-above-the-diagonal", "missing-below-the-diagonal", "listed-empty-row"),
+    )
+    def test_lower_triangle_check_names_the_missing_entry(self, adjacency, message):
+        with pytest.raises(GraphError, match=f"^asymmetric adjacency: {message}$"):
+            Graph(3, adjacency)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs(max_n=40), st.data())
+    def test_one_directed_entry_off_is_asymmetric(self, g, data):
+        u = data.draw(st.integers(0, g.n - 1))
+        v = data.draw(st.sampled_from([w for w in range(g.n) if w != u]))
+        row = set(g.adjacency[u])
+        if v in row:
+            row.remove(v)
+            message = f"{v}->{u} without {u}->{v}"
+        else:
+            row.add(v)
+            message = f"{u}->{v} without {v}->{u}"
+        rows = list(g.adjacency)
+        rows[u] = tuple(sorted(row))
+        with pytest.raises(GraphError, match=f"^asymmetric adjacency: {message}$"):
+            Graph(g.n, tuple(rows))
+
+    def test_list_rows_are_validated_too(self):
+        assert Graph(3, [[1], [0, 2], [1]]).degrees == (1, 2, 1)
+        with pytest.raises(GraphError, match="^asymmetric adjacency: 1->2 without 2->1$"):
+            Graph(3, [[1], [0, 2], []])
 
     def test_every_route_runs_the_validator(self, monkeypatch):
         calls = []
@@ -275,6 +327,30 @@ class TestParseEdgeList:
         else:
             assert parse_edge_list(text) == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(text=edge_list_texts())
+    def test_file_reads_like_the_text(self, tmp_path_factory, text):
+        assert_file_reads_like_the_text(tmp_path_factory.getbasetemp() / "g.edges", text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0 1\r1 2\r",
+            "n 3\r\n0 1\r\n\r\n# c\r\n1 2\r\n",
+            "0 1\r\n1 2\r1 0\n",
+            "0 1\n0\x0b1\x0b2\n",
+            "0 1\n1\u20282\n",
+            "0 1\r1 2\r\r# c\r2 1\r",
+            "".join(f"{i} {i + 1}\r\n" for i in range(10_000)) + "1 0\r\n",
+            # a \r\n across the decoder's 8192-byte chunks ends one line
+            "# " + "x" * 8189 + "\r\n0 0\r\n",
+        ],
+        ids=("cr", "crlf", "mixed-duplicate", "vertical-tab", "line-separator",
+             "cr-duplicate", "far-duplicate", "crlf-across-chunks"),
+    )
+    def test_file_line_ends_and_errors_match_the_text(self, tmp_path, text):
+        assert_file_reads_like_the_text(tmp_path / "g.edges", text)
+
     def test_self_loop_names_its_line(self):
         with pytest.raises(ParseError, match="line 3: self-loop 2 2"):
             parse_edge_list("0 1\n1 2\n2 2\n")
@@ -361,6 +437,54 @@ class TestParseEdgeList:
         assert parse_edge_list("# c\n\nn 3\n0 1\n1 2\n") == P3
         with pytest.raises(ParseError, match="^line 2: non-integer"):
             parse_edge_list("0 1\nn 3\n1 2\n")
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReadMemory:
+    """Reading and validating the generated intersection(12,4) (495
+    vertices, 104,940 edges) take memory in proportion to its adjacency
+    tuples, not to its file."""
+
+    @pytest.fixture(scope="class")
+    def dense_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("dense") / "intersection-12-4.edges"
+        argv = ["generate", "--family", "intersection", "--p", "12", "--t", "4"]
+        assert main([*argv, "--output", str(path)]) == 0
+        return str(path)
+
+    @staticmethod
+    def adjacency_size(g):
+        return sys.getsizeof(g.adjacency) + sum(map(sys.getsizeof, g.adjacency))
+
+    def test_read_peaks_near_the_adjacency(self, dense_path):
+        g, peak = traced_peak(_read_graph, dense_path)
+        assert peak <= 1.6 * self.adjacency_size(g)
+
+    def test_validation_peaks_below_half_the_adjacency(self, dense_path):
+        g = _read_graph(dense_path)
+        _, peak = traced_peak(Graph, g.n, g.adjacency)
+        assert peak <= 0.5 * self.adjacency_size(g)
+
+    def test_padded_ids_add_no_memory(self, dense_path, tmp_path):
+        # "007" is read as 7, but kept neither as a key nor as a new int
+        g = Graph.from_edges(495, list(_read_graph(dense_path).edges())[:10_000])
+        canonical, padded = tmp_path / "canonical.edges", tmp_path / "padded.edges"
+        canonical.write_text(format_edge_list(g))
+        padded.write_text(f"n {g.n}\n" + "".join(
+            f"{'0' * (i % 40)}{u} {'0' * (i % 41)}{v}\n" for i, (u, v) in enumerate(g.edges())
+        ))
+        _, expected = traced_peak(_read_graph, str(canonical))
+        h, peak = traced_peak(_read_graph, str(padded))
+        assert h == g
+        assert peak <= 1.1 * expected
 
 
 class TestComplement:
