@@ -17,15 +17,8 @@ from json.encoder import encode_basestring_ascii
 from math import comb, isqrt
 from typing import Any, Callable, Iterator, Sequence
 
-from .closed_forms import ClosedFormReport, closed_forms_for
-from .families import (
-    CLOSED_FORM_FAMILIES,
-    FAMILY_PARAMS,
-    FamilySpec,
-    FamilyError,
-    above_cap,
-    generate,
-)
+from .closed_forms import CLOSED_FORMS, ClosedFormReport, closed_forms_for
+from .families import FAMILY_PARAMS, FamilySpec, FamilyError, above_cap, generate
 from .graph import DEFAULT_MAX_VERTICES, format_edge_list, parse_edge_list, transmission_profile
 from .indices import complement_bounds, compute_index_bundle
 from .verify import (
@@ -98,15 +91,18 @@ def _integer(text: str) -> int:
 
 
 def _parse_range(text: str) -> range:
-    """``a..b`` inclusive, or a single integer. A range ends at most at
-    the vertex cap and holds at most one value more than it: every valid
-    spec of a closed-form family has at least as many vertices as each
-    of its parameters, so no larger parameter can be checked."""
+    """``a..b`` inclusive, or a single integer. A range ends at 1 or
+    above, since every family parameter is positive, and at most at the
+    vertex cap, and holds at most one value more than the cap: every
+    valid spec of a closed-form family has at least as many vertices as
+    each of its parameters, so no larger parameter can be checked."""
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = _integer(lo_text), _integer(hi_text)
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
+        if hi < 1:
+            raise ValueError(f"range {text!r} holds no positive value")
         if hi > DEFAULT_MAX_VERTICES:
             raise ValueError(
                 f"range {text!r} ends above the vertex cap of {DEFAULT_MAX_VERTICES}"
@@ -421,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.set_defaults(func=cmd_generate)
 
     p_closed = sub.add_parser("closed-form", help="evaluate a family's closed-form indices")
-    p_closed.add_argument("--family", required=True, choices=sorted(CLOSED_FORM_FAMILIES))
+    p_closed.add_argument("--family", required=True, choices=sorted(CLOSED_FORMS))
     _add_family_arguments(p_closed, ranged=False)
     p_closed.add_argument("--as-printed", action="store_true", dest="as_printed",
                           help="show the published expressions' values")
@@ -433,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check closed forms against brute force (default: the full grid)",
     )
     p_verify.add_argument(
-        "--family", default=None, choices=sorted(CLOSED_FORM_FAMILIES) + ["random"],
+        "--family", default=None, choices=sorted(CLOSED_FORMS) + ["random"],
     )
     _add_family_arguments(p_verify, ranged=True)
     p_verify.add_argument("--mode", default="corrected",

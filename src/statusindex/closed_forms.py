@@ -3,17 +3,20 @@
 Every quantity is evaluated in two modes. ``corrected`` values follow
 from transmission regularity and the co-index identities, so they are
 consistent with brute-force computation by construction. ``as_printed``
-values execute the published closed forms verbatim; where the two
-disagree the report carries an erratum flag. Rational prefactors are
-handled by multiplying numerators first and asserting divisibility;
-division never truncates silently.
+values evaluate the published closed forms; where the two disagree the
+report carries an erratum flag. The paper's two nanotorus branches
+(q < p and q >= p) share every factor but one polynomial, so they are
+written once. Rational prefactors are handled by multiplying numerators
+first and dividing with ``graph.exact_div``, which raises
+ArithmeticError on a remainder; division never truncates silently.
 """
 from __future__ import annotations
 
 from math import comb
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .families import FamilySpec
+from .graph import exact_div
 from .indices import transmission_regular_indices
 
 INDEX_NAMES = ("s1", "s2", "s1_co", "s2_co")
@@ -47,25 +50,16 @@ class ClosedFormReport(NamedTuple):
         return tuple(name for name in INDEX_NAMES if self.indices[name].erratum)
 
 
-def _exact_div(numerator: int, denominator: int, what: str) -> int:
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise ValueError(
-            f"{what} is not an integer: {numerator}/{denominator}"
-        )
-    return quotient
-
-
 def _corrected_report(
     family: FamilySpec, n: int, m: int, degree: int, k: int,
     printed: dict[str, int],
 ) -> ClosedFormReport:
     s1, s2, s1_co, s2_co = transmission_regular_indices(n, m, k)
-    wiener = _exact_div(n * k, 2, "n*k/2 (Wiener index)")
+    wiener = exact_div(n * k, 2, "n*k/2 (Wiener index)")
     corrected = {"s1": s1, "s2": s2, "s1_co": s1_co, "s2_co": s2_co}
     # the corrected values must satisfy the co-index identities exactly
-    bracket = (n * k) ** 2 - n * k * k
-    if s1_co != 2 * (n - 1) * wiener - s1 or bracket % 2 or s2_co != bracket // 2 - s2:
+    half_bracket = exact_div((n * k) ** 2 - n * k * k, 2, "half the transmission pair-sum bracket")
+    if s1_co != 2 * (n - 1) * wiener - s1 or s2_co != half_bracket - s2:
         raise ArithmeticError(f"{family.label()}: corrected values break the co-index identities")
     return ClosedFormReport(
         family=family, n=n, m=m, degree=degree, sigma=k, wiener=wiener,
@@ -88,15 +82,15 @@ def intersection_closed_forms(p: int, t: int) -> ClosedFormReport:
     k = n + disjoint - 1
     printed = {
         "s1": n * (n - disjoint - 1) * (n + disjoint - 1),
-        "s2": _exact_div(
+        "s2": exact_div(
             n * (n - disjoint - 1) * (n + disjoint - 1) ** 2, 2,
             "intersection s2 prefactor",
         ),
         "s1_co": disjoint * n * (n + disjoint - 1),
-        "s2_co": (comb(n, 2) - _exact_div(n * (n - disjoint - 1), 2, "edge count"))
+        "s2_co": (comb(n, 2) - exact_div(n * (n - disjoint - 1), 2, "edge count"))
         * (n + disjoint - 1) ** 2,
     }
-    m = _exact_div(n * degree, 2, "intersection edge count")
+    m = exact_div(n * degree, 2, "intersection edge count")
     return _corrected_report(spec, n, m, degree, k, printed)
 
 
@@ -137,10 +131,10 @@ def kneser_closed_forms(p: int, k: int) -> ClosedFormReport:
     spec = FamilySpec.kneser(p, k)
     n = comb(p, k)
     degree = comb(p - k, k)
-    m = _exact_div(n * degree, 2, "kneser edge count")
+    m = exact_div(n * degree, 2, "kneser edge count")
     sigma = sum(comb(k, s) * comb(p - k, k - s) * kneser_distance(p, k, s) for s in range(k))
-    wiener = _exact_div(n * sigma, 2, "kneser Wiener index C(p,k)*sigma/2")
-    s2 = degree * _exact_div(2 * wiener * wiener, n, "kneser 2W^2/C(p,k)")
+    wiener = exact_div(n * sigma, 2, "kneser Wiener index C(p,k)*sigma/2")
+    s2 = degree * exact_div(2 * wiener * wiener, n, "kneser 2W^2/C(p,k)")
     printed = {
         "s1": 2 * wiener * degree,
         "s2": s2,
@@ -152,52 +146,43 @@ def kneser_closed_forms(p: int, k: int) -> ClosedFormReport:
 
 
 def nanotorus_closed_forms(p: int, q: int) -> ClosedFormReport:
-    """Indices of the achiral polyhex (hexagonal) torus on p*q vertices.
+    """Indices of the achiral polyhex (hexagonal) torus on n = p*q vertices.
 
-    The per-vertex transmission, and with it every index, branches on
-    q < p versus q >= p.
+    The published per-vertex transmission branches on q < p versus
+    q >= p, but only through ``poly``: with a = min(p, q) both branches
+    give sigma = a*poly/12, and every other expression is the same in
+    n, a and poly.
     """
     spec = FamilySpec.nanotorus(p, q)
     n = p * q
-    m = _exact_div(3 * p * q, 2, "nanotorus edge count")
-    if q < p:
-        poly = 6 * p * p + q * q - 4
-        sigma = _exact_div(q * poly, 12, "nanotorus transmission")
-        wiener = _exact_div(p * q * q * poly, 24, "nanotorus Wiener index")
-        printed = {
-            "s1": _exact_div(p * q * q * poly, 4, "nanotorus s1"),
-            "s2": _exact_div(p * q ** 3 * poly * poly, 96, "nanotorus s2"),
-            "s1_co": _exact_div(p * q * q * (p * q - 4) * poly, 12, "nanotorus s1_co"),
-            "s2_co": _exact_div(
-                p * q ** 3 * (p * q - 4) * poly * poly, 288, "nanotorus s2_co"
-            ),
-        }
-    else:
-        poly = 3 * q * q + 3 * p * q + p * p - 4
-        sigma = _exact_div(p * poly, 12, "nanotorus transmission")
-        wiener = _exact_div(p * p * q * poly, 24, "nanotorus Wiener index")
-        printed = {
-            "s1": _exact_div(p * p * q * poly, 4, "nanotorus s1"),
-            "s2": _exact_div(p ** 3 * q * poly * poly, 96, "nanotorus s2"),
-            "s1_co": _exact_div(p * p * q * (p * q - 4) * poly, 12, "nanotorus s1_co"),
-            "s2_co": _exact_div(
-                p ** 3 * q * (p * q - 4) * poly * poly, 288, "nanotorus s2_co"
-            ),
-        }
+    a = min(p, q)
+    poly = 6 * p * p + q * q - 4 if q < p else 3 * q * q + 3 * p * q + p * p - 4
+    m = exact_div(3 * n, 2, "nanotorus edge count")
+    sigma = exact_div(a * poly, 12, "nanotorus transmission")
+    wiener = exact_div(n * a * poly, 24, "nanotorus Wiener index")
+    printed = {
+        "s1": exact_div(n * a * poly, 4, "nanotorus s1"),
+        "s2": exact_div(n * a * a * poly * poly, 96, "nanotorus s2"),
+        "s1_co": exact_div(n * a * (n - 4) * poly, 12, "nanotorus s1_co"),
+        "s2_co": exact_div(n * a * a * (n - 4) * poly * poly, 288, "nanotorus s2_co"),
+    }
     report = _corrected_report(spec, n, m, 3, sigma, printed)
     if report.wiener != wiener:
         raise ArithmeticError(f"{spec.label()}: Wiener index {report.wiener} != {wiener}")
     return report
 
 
+#: kind -> the evaluator of its closed forms, called with the spec's parameters.
+CLOSED_FORMS: dict[str, Callable[..., ClosedFormReport]] = {
+    "hypercube": hypercube_closed_forms,
+    "kneser": kneser_closed_forms,
+    "intersection": intersection_closed_forms,
+    "nanotorus": nanotorus_closed_forms,
+}
+
+
 def closed_forms_for(spec: FamilySpec) -> ClosedFormReport:
     """Dispatch to the family's closed forms."""
-    if spec.kind == "hypercube":
-        return hypercube_closed_forms(spec.params[0])
-    if spec.kind == "intersection":
-        return intersection_closed_forms(*spec.params)
-    if spec.kind == "nanotorus":
-        return nanotorus_closed_forms(*spec.params)
-    if spec.kind == "kneser":
-        return kneser_closed_forms(*spec.params)
-    raise ValueError(f"no closed forms for family {spec.kind!r}")
+    if spec.kind not in CLOSED_FORMS:
+        raise ValueError(f"no closed forms for family {spec.kind!r}")
+    return CLOSED_FORMS[spec.kind](*spec.params)

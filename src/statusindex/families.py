@@ -24,10 +24,6 @@ FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
     "complete": ("n",),
 }
 
-#: Families with closed-form index expressions (verifiable end to end).
-CLOSED_FORM_FAMILIES = ("hypercube", "kneser", "intersection", "nanotorus")
-
-
 class FamilyError(ValueError):
     """Invalid family parameters."""
 

@@ -50,11 +50,12 @@ class Graph:
     adjacency: tuple[tuple[int, ...], ...]
     degrees: tuple[int, ...]
 
-    def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(self, n: int, adjacency: Iterable[Iterable[int]]) -> None:
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adjacency", adjacency)
+        # tuple() keeps a tuple row as it is and copies any other row
+        object.__setattr__(self, "adjacency", tuple(map(tuple, adjacency)))
         self.__post_init__()
-        object.__setattr__(self, "degrees", tuple(map(len, adjacency)))
+        object.__setattr__(self, "degrees", tuple(map(len, self.adjacency)))
 
     def __post_init__(self) -> None:
         n, rows = self.n, self.adjacency
@@ -77,7 +78,7 @@ class Graph:
             if row[:k] != tuple(below) or upper and (
                 upper[0] <= u or upper[-1] >= n or not all(map(lt, upper, upper[1:]))
             ):
-                _check_row(u, row, below, n)  # raises, unless row is a valid list
+                _check_row(u, row, below, n)  # raises
             for v in upper:
                 lower[v].append(u)
 
@@ -148,6 +149,16 @@ def _check_row(u: int, row: Sequence[int], below: list[int], n: int) -> None:
         v = min(set(below).symmetric_difference(lower_part))
         a, b = (u, v) if v in row else (v, u)
         raise GraphError(f"asymmetric adjacency: {a}->{b} without {b}->{a}")
+
+
+def exact_div(numerator: int, denominator: int, what: str) -> int:
+    """``numerator / denominator``, which must be an integer: a remainder
+    is a broken invariant, and raises ArithmeticError naming ``what``,
+    rather than being truncated away."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"{what} is not an integer: {numerator}/{denominator}")
+    return quotient
 
 
 class TransmissionProfile(NamedTuple):
@@ -331,12 +342,11 @@ def profile_from_rows(rows: Sequence[Iterable[int]]) -> TransmissionProfile:
                 )
             frontier = nxt
         diameter = max(diameter, level)
-    total = sum(sigma)
-    if total % 2:
-        raise ArithmeticError("total transmission must be even (each distance counted twice)")
+    # each distance is counted from both ends
+    wiener = exact_div(sum(sigma), 2, "half the total transmission")
     regular_k = sigma[0] if len(set(sigma)) == 1 else None
     return TransmissionProfile(
-        sigma=tuple(sigma), wiener=total // 2, diameter=diameter, regular_k=regular_k
+        sigma=tuple(sigma), wiener=wiener, diameter=diameter, regular_k=regular_k
     )
 
 

@@ -3,7 +3,7 @@
 Status indices sum transmissions over edges; the co-indices take the
 same sums over non-adjacent pairs. Everything is exact integer
 arithmetic: halved quantities are computed by forming the even integer
-first, checking evenness, then halving.
+first, then dividing it exactly with ``graph.exact_div``.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from .graph import (
     Graph,
     TransmissionProfile,
     complement_rows,
+    exact_div,
     profile_from_rows,
     transmission_profile,
 )
@@ -62,12 +63,6 @@ class Diam2Formulas(NamedTuple):
     s2_co_from_zagreb_co: int
 
 
-def _half_even(value: int, what: str) -> int:
-    if value % 2:
-        raise ArithmeticError(f"{what} must be even, got {value}")
-    return value // 2
-
-
 def edge_sums(rows: Sequence[Sequence[int]], weights: Sequence[int]) -> tuple[int, int]:
     """(sum of w_u + w_v, sum of w_u * w_v) over the edges uv of the
     graph whose vertex ``u`` has the neighbours ``rows[u]``.
@@ -81,7 +76,7 @@ def edge_sums(rows: Sequence[Sequence[int]], weights: Sequence[int]) -> tuple[in
     for w, row in zip(weights, rows):
         total += len(row) * w
         doubled += w * sum(map(weight, row))
-    return total, _half_even(doubled, "edge product sum counted from both ends")
+    return total, exact_div(doubled, 2, "half the edge product sum counted from both ends")
 
 
 def nonedge_sums(rows: Sequence[Sequence[int]], weights: Sequence[int]) -> tuple[int, int]:
@@ -145,7 +140,7 @@ def status_coindices_identity(tp: TransmissionProfile, s1: int, s2: int) -> tupl
     total = sum(tp.sigma)
     sum_sq = sum(s * s for s in tp.sigma)
     bracket = total * total - sum_sq
-    s2_co = _half_even(bracket, "transmission pair-sum bracket") - s2
+    s2_co = exact_div(bracket, 2, "half the transmission pair-sum bracket") - s2
     return s1_co, s2_co
 
 
@@ -158,7 +153,7 @@ def zagreb_indices(g: Graph) -> tuple[int, int]:
 def zagreb_coindices_identity(n: int, m: int, m1: int, m2: int) -> tuple[int, int]:
     """Zagreb co-indices from the Zagreb indices (Ashrafi, Doslic and
     Hamzeh, 2010): m1_co = 2m(n-1) - M1 and m2_co = 2m^2 - M2 - M1/2."""
-    return 2 * m * (n - 1) - m1, 2 * m * m - m2 - _half_even(m1, "M1")
+    return 2 * m * (n - 1) - m1, 2 * m * m - m2 - exact_div(m1, 2, "M1/2")
 
 
 def zagreb_coindices(g: Graph) -> tuple[int, int]:
@@ -202,7 +197,7 @@ def diam2_coindex_formulas(g: Graph, tp: TransmissionProfile | None = None) -> D
     s2_z = (
         (n - 1) ** 2 * (2 * n * (n - 1) - 8 * m)
         + 2 * m * m
-        + _half_even((4 * n - 5) * m1, "(4n-5)*M1")
+        + exact_div((4 * n - 5) * m1, 2, "(4n-5)*M1/2")
         - m2
     )
     s1_zc = 2 * (n - 1) * (n * (n - 1) - 2 * m) - m1_co

@@ -34,7 +34,6 @@ DEMO_TAG = "demo5"
 class Erratum(NamedTuple):
     """One published value known to contradict the defining sums."""
 
-    key: str
     index: str
     family: str | None = None
     fixture: str | None = None
@@ -44,7 +43,6 @@ class Erratum(NamedTuple):
 
 ERRATA: tuple[Erratum, ...] = (
     Erratum(
-        key="demo5.s1_co",
         index="s1_co",
         fixture=DEMO_TAG,
         printed_value=11,
@@ -52,21 +50,18 @@ ERRATA: tuple[Erratum, ...] = (
         "graph; the non-edge sum and the identity 2(n-1)W - s1 both give 22",
     ),
     Erratum(
-        key="hypercube.s1_co",
         index="s1_co",
         family="hypercube",
         note="published closed form 2*n^2*2^(n-1)*(2n-5) contradicts the co-index "
         "identity; at n=2 it gives -16 where the non-edge sum is 16",
     ),
     Erratum(
-        key="hypercube.s2_co",
         index="s2_co",
         family="hypercube",
         note="published closed form n^2*2^(2n-2)*(n(2n-1)-1) contradicts the "
         "co-index identity; at n=2 it gives 80 where the non-edge sum is 32",
     ),
     Erratum(
-        key="kneser.s2_co",
         index="s2_co",
         family="kneser",
         note="published expansion subtracts W where the identity needs 2W^2/C(p,k); "
@@ -398,23 +393,3 @@ def verify_grid(
     for spec in specs if specs is not None else default_grid():
         report.extend(verify_family(spec, mode=mode))
     return report
-
-
-__all__ = [
-    "DEFAULT_SEED",
-    "DEMO_TAG",
-    "ERRATA",
-    "Erratum",
-    "VerificationCase",
-    "VerificationReport",
-    "default_grid",
-    "demo_graph",
-    "fixture_errata",
-    "random_connected_graph",
-    "random_corpus",
-    "registered_erratum",
-    "verify_family",
-    "verify_grid",
-    "verify_identities",
-    "verify_random_suite",
-]

@@ -565,7 +565,10 @@ class TestVerify:
         # two million invalid combinations, none of them checked
         (("--family", "kneser", "--p", "3", "--k", "1..2000000"),
          "range '1..2000000' ends above the vertex cap of 20000", 1.0),
-    ), ids=("hypercube", "kneser", "beyond-maxsize", "long-skipped-sweep"))
+        # four million combinations, every one with a parameter below 1
+        (("--family", "kneser", "--p=-200..0", "--k", "1..20000"),
+         "range '-200..0' holds no positive value", 1.0),
+    ), ids=("hypercube", "kneser", "beyond-maxsize", "long-skipped-sweep", "range-below-1"))
     def test_hostile_range_exits_2_in_bounded_memory(self, ranges, message, seconds):
         # a range ending above the cap is rejected as it is read; a sweep
         # takes one spec at a time, so the first over the cap ends it

@@ -200,6 +200,18 @@ class TestGraphValidation:
         with pytest.raises(GraphError, match="^asymmetric adjacency: 1->2 without 2->1$"):
             Graph(3, [[1], [0, 2], []])
 
+    def test_list_rows_are_stored_as_tuples(self):
+        rows = [[1], [0, 2], [1]]
+        g = Graph(3, rows)
+        assert hash(g) == hash(P3) and g == P3
+        assert all(type(row) is tuple for row in g.adjacency)
+        for row in rows:
+            row.append(2)  # the caller's lists are not the graph's rows
+        assert g.adjacency == ((1,), (0, 2), (1,))
+        assert (g.degrees, g.m) == ((1, 2, 1), 2)
+        # a tuple row is kept as the same object, not copied
+        assert all(a is b for a, b in zip(Graph(3, g.adjacency).adjacency, g.adjacency))
+
     def test_every_route_runs_the_validator(self, monkeypatch):
         calls = []
         validate = Graph.__post_init__

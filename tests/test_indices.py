@@ -22,6 +22,8 @@ from statusindex import (
     zagreb_coindices_identity,
     zagreb_indices,
 )
+from statusindex import closed_forms, indices
+from statusindex.graph import exact_div
 from statusindex.verify import demo_graph, random_connected_graph
 
 from oracles import oracle_indices, oracle_nonedge_sums
@@ -56,6 +58,12 @@ class TestEdgeSums:
     def test_asymmetric_rows_break_the_halving(self):
         with pytest.raises(ArithmeticError, match="both ends"):
             edge_sums(((1,), ()), (1, 1))
+        # every exact division in the package, closed forms included, is
+        # this one helper, and a remainder is a broken invariant
+        assert closed_forms.exact_div is indices.exact_div is exact_div
+        assert exact_div(-96, 12, "nanotorus s2") == -8
+        with pytest.raises(ArithmeticError, match=r"^nanotorus s2 is not an integer: 100/96$"):
+            exact_div(100, 96, "nanotorus s2")
 
 
 @st.composite

@@ -1,6 +1,8 @@
 """Smoke tests: the scripts under scripts/ run to completion on small inputs."""
 from __future__ import annotations
 
+import ast
+import importlib
 import importlib.util
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).parents[1] / "scripts"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
@@ -85,3 +88,30 @@ def test_record_bench_reads_the_four_workloads():
     assert load_record_bench().workload_names() == [
         "compute-sparse", "compute-dense", "verify-families", "checks",
     ]
+
+
+def traced_layers() -> list[tuple[str, str]]:
+    """The (module, qualname) pairs of ``LAYERS`` in ``perfbench/spans.py``,
+    read from its syntax tree: the tracer is not imported or run."""
+    tree = ast.parse((PERFBENCH / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "LAYERS":
+            return [(layer.elts[0].value, layer.elts[1].value) for layer in node.value.elts]
+    raise AssertionError("perfbench/spans.py defines no LAYERS")
+
+
+def test_every_traced_layer_resolves():
+    # spans.py wraps functions by name and skips a name it cannot find,
+    # so a renamed function would leave its layer reading 0
+    known = ("graph", "complement")  # moved to tests/oracles.py; reads 0
+    layers = traced_layers()
+    assert len(layers) > 10
+    missing = []
+    for module_name, qualname in layers:
+        owner = importlib.import_module(f"statusindex.{module_name}")
+        *outer, attr = qualname.split(".")
+        for part in outer:
+            owner = getattr(owner, part, None)
+        if owner is None or vars(owner).get(attr) is None:
+            missing.append((module_name, qualname))
+    assert [layer for layer in missing if layer != known] == []
