@@ -10,15 +10,16 @@ rendered as exact decimal strings.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from itertools import product
 from json.encoder import encode_basestring_ascii
-from math import comb, isqrt
+from math import comb, isqrt, prod
 from typing import Any, Callable, Iterator, Sequence
 
 from .closed_forms import CLOSED_FORMS, ClosedFormReport, closed_forms_for
-from .families import FAMILY_PARAMS, FamilySpec, FamilyError, above_cap, generate
+from .families import FAMILIES, FamilySpec, FamilyError, above_cap, generate
 from .graph import DEFAULT_MAX_VERTICES, format_edge_list, parse_edge_list, transmission_profile
 from .indices import complement_bounds, compute_index_bundle
 from .verify import (
@@ -75,10 +76,19 @@ def _print_payload(payload: dict[str, Any], args: argparse.Namespace,
 
 
 def _read_graph(path: str):
-    # A file is parsed as it is read. A pipe cannot be read twice, so it
-    # is read whole, for the parser to name a repeated edge's line.
+    # A file is parsed as it is read. A pipe cannot be read twice, for the
+    # parser to name a repeated edge's line, so its bytes are first copied
+    # in chunks to a temporary file, then decoded like a file's.
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_edge_list(handle if handle.seekable() else handle.read())
+        if handle.seekable():
+            return parse_edge_list(handle)
+        import shutil  # only this path needs them; importing them costs start-up
+        import tempfile
+
+        with tempfile.TemporaryFile() as spool:
+            shutil.copyfileobj(handle.buffer, spool)
+            spool.seek(0)
+            return parse_edge_list(io.TextIOWrapper(spool, encoding="utf-8"))
 
 
 def _integer(text: str) -> int:
@@ -116,13 +126,14 @@ def _parse_range(text: str) -> range:
     return range(value, value + 1)
 
 
-_PARAM_FLAGS = ("n", "p", "q", "k", "t")
+#: Every family's parameter names, in the order they first appear in FAMILIES.
+_PARAM_FLAGS = tuple(dict.fromkeys(name for f in FAMILIES.values() for name in f.params))
 
 
 def _family_params(args: argparse.Namespace, read: Callable[[str], Any]) -> list[Any]:
     """The family's parameters, each read by ``read`` in declaration
     order, after rejecting any parameter flag the family does not take."""
-    names = FAMILY_PARAMS[args.family]
+    names = FAMILIES[args.family].params
     for name in _PARAM_FLAGS:
         if name not in names and getattr(args, name, None) is not None:
             raise FamilyError(
@@ -365,7 +376,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         specs = default_grid()
     elif given_params:
-        specs = _specs_from_ranges(args.family, _family_params(args, _parse_range), skipped)
+        ranges = _family_params(args, _parse_range)
+        combinations = prod(map(len, ranges))
+        if combinations > DEFAULT_MAX_VERTICES + 1:  # the limit of one range
+            raise ValueError(
+                f"the ranges hold {combinations} parameter combinations, "
+                f"more than {DEFAULT_MAX_VERTICES + 1}"
+            )
+        specs = _specs_from_ranges(args.family, ranges, skipped)
     else:
         specs = [s for s in default_grid() if s.kind == args.family]
     report = verify_grid(mode, specs)
@@ -411,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.set_defaults(func=cmd_compute)
 
     p_generate = sub.add_parser("generate", help="write a family graph as an edge list")
-    p_generate.add_argument("--family", required=True, choices=sorted(FAMILY_PARAMS))
+    p_generate.add_argument("--family", required=True, choices=sorted(FAMILIES))
     _add_family_arguments(p_generate, ranged=False)
     p_generate.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     p_generate.set_defaults(func=cmd_generate)

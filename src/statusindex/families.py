@@ -1,28 +1,36 @@
 """Deterministic generators for the supported graph families.
 
-Subset-indexed families (Kneser, intersection) order their vertices by
-colexicographic rank of the subset, so adjacency files are reproducible
-byte-for-byte. Generation is pure: identical specs give identical
-adjacency lists.
+Each family is one ``Family`` record in ``FAMILIES``: its parameter
+names and its validity, order, edge-count and build rules. Subset-indexed
+families (Kneser, intersection) order their vertices by colexicographic
+rank of the subset, so adjacency files are reproducible byte-for-byte.
+Generation is pure: identical specs give identical adjacency lists.
 """
 from __future__ import annotations
 
 from itertools import combinations, compress
-from math import comb, prod
-from operator import not_
+from math import comb
+from operator import lt, not_
+from typing import Callable, NamedTuple
 
 from .graph import DEFAULT_MAX_VERTICES, Graph
 
-#: kind -> parameter names, in declaration order.
-FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
-    "hypercube": ("n",),
-    "kneser": ("p", "k"),
-    "intersection": ("p", "t"),
-    "nanotorus": ("p", "q"),
-    "path": ("n",),
-    "cycle": ("n",),
-    "complete": ("n",),
-}
+
+class Family(NamedTuple):
+    """The rules of one graph family, each called with the parameters in
+    ``params`` order. ``check`` returns None when positive parameters
+    define a connected graph, else the error text after the spec's label;
+    ``order_above(cap, *params)`` tells whether the graph has more than
+    ``cap`` vertices without forming an order far above the cap; ``edges``
+    counts the edges in closed form; ``build`` builds the graph. No field
+    has a default, so a family states every rule."""
+
+    params: tuple[str, ...]
+    check: Callable[..., str | None]
+    order_above: Callable[..., bool]
+    edges: Callable[..., int]
+    build: Callable[..., Graph]
+
 
 class FamilyError(ValueError):
     """Invalid family parameters."""
@@ -41,7 +49,8 @@ MAX_EDGES = 2_000_000
 class FamilySpec:
     """A graph family tagged with its integer parameters. Immutable, and
     validated on construction; copies and unpickled specs are rebuilt
-    through ``__init__`` and validated too."""
+    through ``__init__`` and validated too. ``FamilySpec.<kind>(*params)``
+    builds the spec of each kind in ``FAMILIES``."""
 
     __slots__ = ("kind", "params")
 
@@ -49,9 +58,9 @@ class FamilySpec:
     params: tuple[int, ...]
 
     def __init__(self, kind: str, params: tuple[int, ...]) -> None:
-        if kind not in FAMILY_PARAMS:
+        if kind not in FAMILIES:
             raise FamilyError(f"unknown family {kind!r}")
-        names = FAMILY_PARAMS[kind]
+        names = FAMILIES[kind].params
         if len(params) != len(names):
             raise FamilyError(f"{kind} takes parameters {names}, got {params}")
         object.__setattr__(self, "kind", kind)
@@ -79,131 +88,76 @@ class FamilySpec:
         return self.__class__, (self.kind, self.params)
 
     def label(self) -> str:
-        inner = ", ".join(
-            f"{name}={value}"
-            for name, value in zip(FAMILY_PARAMS[self.kind], self.params)
-        )
-        return f"{self.kind}({inner})"
-
-    @staticmethod
-    def hypercube(n: int) -> FamilySpec:
-        return FamilySpec("hypercube", (n,))
-
-    @staticmethod
-    def kneser(p: int, k: int) -> FamilySpec:
-        return FamilySpec("kneser", (p, k))
-
-    @staticmethod
-    def intersection(p: int, t: int) -> FamilySpec:
-        return FamilySpec("intersection", (p, t))
-
-    @staticmethod
-    def nanotorus(p: int, q: int) -> FamilySpec:
-        return FamilySpec("nanotorus", (p, q))
-
-    @staticmethod
-    def path(n: int) -> FamilySpec:
-        return FamilySpec("path", (n,))
-
-    @staticmethod
-    def cycle(n: int) -> FamilySpec:
-        return FamilySpec("cycle", (n,))
-
-    @staticmethod
-    def complete(n: int) -> FamilySpec:
-        return FamilySpec("complete", (n,))
+        names = FAMILIES[self.kind].params
+        return f"{self.kind}({', '.join(f'{n}={v}' for n, v in zip(names, self.params))})"
 
 
 def validate(spec: FamilySpec) -> None:
     """Raise FamilyError unless the parameters define a connected graph."""
-    kind, params = spec.kind, spec.params
-    if any(v <= 0 for v in params):
+    if any(v <= 0 for v in spec.params):
         raise FamilyError(f"{spec.label()}: parameters must be positive")
-    if kind == "hypercube":
-        return
-    if kind == "kneser":
-        p, k = params
-        if p < k:
-            raise FamilyError(f"{spec.label()}: need p >= k")
-        if p == 1:
-            raise FamilyError(f"{spec.label()} is K1, which has no closed forms; use path(n=1)")
-        if k >= 2:
-            if p == 2 * k:
-                raise FamilyError(
-                    f"{spec.label()}: p = 2k gives a disconnected perfect matching"
-                )
-            if p < 2 * k + 1:
-                raise FamilyError(
-                    f"{spec.label()}: need p >= 2k+1 for connectivity when k >= 2"
-                )
-        return
-    if kind == "intersection":
-        p, t = params
-        if not 1 < t < p:
-            raise FamilyError(f"{spec.label()}: need 1 < t < p")
-        return
-    if kind == "nanotorus":
-        p, q = params
-        if p % 2 or q % 2:
-            raise FamilyError(
-                f"{spec.label()}: p and q must be even for a consistent hexagonal torus"
-            )
-        if p < 2 or q < 2:
-            raise FamilyError(f"{spec.label()}: need p, q >= 2")
-        if p == 2 and q == 2:
-            raise FamilyError(
-                f"{spec.label()}: no 3-regular realization exists at p = q = 2 "
-                "(both lattice directions collapse)"
-            )
-        return
-    if kind == "cycle":
-        (n,) = params
-        if n < 3:
-            raise FamilyError(f"{spec.label()}: a cycle needs n >= 3")
-        return
-    # path, complete: any positive n
+    problem = FAMILIES[spec.kind].check(*spec.params)
+    if problem is not None:
+        raise FamilyError(spec.label() + problem)
 
 
 def above_cap(spec: FamilySpec, cap: int) -> bool:
-    """Whether generate(spec) has more than ``cap`` vertices, decided
-    without forming an order far above the cap: ``2**n`` is compared by
-    bit length, and a binomial is built from its partial products, which
-    only grow, until one passes the cap. Every other family's order is
-    the product of its parameters."""
-    kind, params = spec.kind, spec.params
-    if kind == "hypercube":
-        return params[0] >= max(cap, 0).bit_length()
-    if kind in ("kneser", "intersection"):
-        p, k = params
-        k = min(k, p - k)
-        order = 1
-        for i in range(1, k + 1):
-            order = order * (p - k + i) // i  # C(p - k + i, i)
-            if order > cap:
-                return True
-        return order > cap
-    return prod(params) > cap
+    """Whether generate(spec) has more than ``cap`` vertices, by the
+    family's ``order_above`` rule, which never forms an order far above
+    the cap: ``2**n`` is compared by bit length, and a binomial is built
+    from its partial products, which only grow, until one passes the cap."""
+    return FAMILIES[spec.kind].order_above(cap, *spec.params)
 
 
 def edge_count(spec: FamilySpec) -> int:
     """The number of edges of generate(spec), in closed form; for a spec
     within the vertex cap."""
-    kind, params = spec.kind, spec.params
-    if kind == "hypercube":
-        (n,) = params
-        return n << (n - 1)
-    if kind == "kneser":
-        p, k = params
-        return comb(p, k) * comb(p - k, k) // 2
-    if kind == "intersection":
-        p, t = params
-        n = comb(p, t)
-        return n * (n - comb(p - t, t) - 1) // 2
-    if kind == "nanotorus":
-        p, q = params
-        return 3 * p * q // 2
-    (n,) = params
-    return {"path": n - 1, "cycle": n}.get(kind, n * (n - 1) // 2)
+    return FAMILIES[spec.kind].edges(*spec.params)
+
+
+def generate(spec: FamilySpec) -> Graph:
+    """Build the graph for ``spec``; raises VertexCapError above the
+    vertex cap or the edge cap, before anything is built."""
+    if above_cap(spec, DEFAULT_MAX_VERTICES):
+        raise VertexCapError(
+            f"{spec.label()} has more vertices than the cap of {DEFAULT_MAX_VERTICES}"
+        )
+    m = edge_count(spec)
+    if m > MAX_EDGES:
+        raise VertexCapError(f"{spec.label()} has {m} edges, more than the cap of {MAX_EDGES}")
+    return FAMILIES[spec.kind].build(*spec.params)
+
+
+def _kneser_check(p: int, k: int) -> str | None:
+    if p < k:
+        return ": need p >= k"
+    if p == 1:
+        return " is K1, which has no closed forms; use path(n=1)"
+    if k >= 2 and p == 2 * k:
+        return ": p = 2k gives a disconnected perfect matching"
+    if k >= 2 and p < 2 * k + 1:
+        return ": need p >= 2k+1 for connectivity when k >= 2"
+    return None
+
+
+def _nanotorus_check(p: int, q: int) -> str | None:
+    if p % 2 or q % 2:
+        return ": p and q must be even for a consistent hexagonal torus"
+    if p == q == 2:
+        return (": no 3-regular realization exists at p = q = 2 "
+                "(both lattice directions collapse)")
+    return None
+
+
+def _binomial_above(cap: int, p: int, k: int) -> bool:
+    """Whether C(p, k) > cap, from the partial products C(p - k + i, i)."""
+    k = min(k, p - k)
+    order = 1
+    for i in range(1, k + 1):
+        order = order * (p - k + i) // i  # C(p - k + i, i)
+        if order > cap:
+            return True
+    return order > cap
 
 
 def colex_subsets(p: int, k: int) -> list[tuple[int, ...]]:
@@ -277,27 +231,47 @@ def _complete(n: int) -> Graph:
     return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
-def generate(spec: FamilySpec) -> Graph:
-    """Build the graph for ``spec``; raises VertexCapError above the
-    vertex cap or the edge cap, before anything is built."""
-    if above_cap(spec, DEFAULT_MAX_VERTICES):
-        raise VertexCapError(
-            f"{spec.label()} has more vertices than the cap of {DEFAULT_MAX_VERTICES}"
-        )
-    m = edge_count(spec)
-    if m > MAX_EDGES:
-        raise VertexCapError(f"{spec.label()} has {m} edges, more than the cap of {MAX_EDGES}")
-    kind, params = spec.kind, spec.params
-    if kind == "hypercube":
-        return _hypercube(params[0])
-    if kind == "kneser":
-        return _subset_graph(params[0], params[1], adjacent_when_disjoint=True)
-    if kind == "intersection":
-        return _subset_graph(params[0], params[1], adjacent_when_disjoint=False)
-    if kind == "nanotorus":
-        return _nanotorus(params[0], params[1])
-    if kind == "path":
-        return _path(params[0])
-    if kind == "cycle":
-        return _cycle(params[0])
-    return _complete(params[0])
+#: kind -> its rules. The command-line parameter flags take the names in
+#: the order they first appear here: --n, --p, --q, --k, --t.
+FAMILIES: dict[str, Family] = {
+    "hypercube": Family(
+        params=("n",), check=lambda n: None, build=_hypercube,
+        order_above=lambda cap, n: n >= max(cap, 0).bit_length(),
+        edges=lambda n: n << (n - 1),
+    ),
+    "nanotorus": Family(
+        params=("p", "q"), check=_nanotorus_check, build=_nanotorus,
+        order_above=lambda cap, p, q: p * q > cap,
+        edges=lambda p, q: 3 * p * q // 2,
+    ),
+    "kneser": Family(
+        params=("p", "k"), check=_kneser_check, order_above=_binomial_above,
+        edges=lambda p, k: comb(p, k) * comb(p - k, k) // 2,
+        build=lambda p, k: _subset_graph(p, k, adjacent_when_disjoint=True),
+    ),
+    "intersection": Family(
+        params=("p", "t"), order_above=_binomial_above,
+        check=lambda p, t: None if 1 < t < p else ": need 1 < t < p",
+        edges=lambda p, t: comb(p, t) * (comb(p, t) - comb(p - t, t) - 1) // 2,
+        build=lambda p, t: _subset_graph(p, t, adjacent_when_disjoint=False),
+    ),
+    # graphs of order n: lt(cap, n) is n > cap
+    "path": Family(("n",), lambda n: None, lt, lambda n: n - 1, _path),
+    "cycle": Family(
+        ("n",), lambda n: None if n >= 3 else ": a cycle needs n >= 3", lt, lambda n: n, _cycle,
+    ),
+    "complete": Family(("n",), lambda n: None, lt, lambda n: n * (n - 1) // 2, _complete),
+}
+
+
+def _constructor(kind: str) -> staticmethod:
+    def construct(*params: int, **named: int) -> FamilySpec:
+        rest = FAMILIES[kind].params[len(params):]  # the names keywords may give
+        if named.keys() - set(rest):
+            raise TypeError(f"FamilySpec.{kind}() takes parameters {FAMILIES[kind].params}")
+        return FamilySpec(kind, params + tuple(named[name] for name in rest if name in named))
+    return staticmethod(construct)
+
+
+for _kind in FAMILIES:
+    setattr(FamilySpec, _kind, _constructor(_kind))

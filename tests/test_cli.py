@@ -22,6 +22,7 @@ from statusindex import (
 )
 from statusindex import cli
 from statusindex.cli import main
+from statusindex.families import FAMILIES
 
 try:
     import resource
@@ -529,8 +530,8 @@ class TestVerify:
         def unreachable(*args, **kwargs):
             raise AssertionError("generator reached")
 
-        with mock.patch("statusindex.families._subset_graph", unreachable), \
-                mock.patch("statusindex.families._complete", unreachable):
+        builds = {kind: f._replace(build=unreachable) for kind, f in FAMILIES.items()}
+        with mock.patch.dict(FAMILIES, builds):
             code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -558,7 +559,8 @@ class TestVerify:
     @pytest.mark.parametrize("ranges, message, seconds", (
         (("--family", "hypercube", "--n", "30..30000000"),
          "range '30..30000000' ends above the vertex cap of 20000", None),
-        (("--family", "kneser", "--p", "30..20000", "--k", "20..20000"),
+        # 10,791 skipped combinations, then the first spec over the cap
+        (("--family", "kneser", "--p", "30..41", "--k", "20..1000"),
          "kneser(p=41, k=20) has more vertices than the cap of 20000", None),
         (("--family", "hypercube", "--n", f"15..{10 ** 30}"),
          f"range '15..{10 ** 30}' ends above the vertex cap of 20000", None),
@@ -568,7 +570,11 @@ class TestVerify:
         # four million combinations, every one with a parameter below 1
         (("--family", "kneser", "--p=-200..0", "--k", "1..20000"),
          "range '-200..0' holds no positive value", 1.0),
-    ), ids=("hypercube", "kneser", "beyond-maxsize", "long-skipped-sweep", "range-below-1"))
+        # two hundred million positive combinations, none of them valid
+        (("--family", "kneser", "--p", "1..20000", "--k", "10001..20000"),
+         "the ranges hold 200000000 parameter combinations, more than 20001", 1.0),
+    ), ids=("hypercube", "kneser", "beyond-maxsize", "long-skipped-sweep", "range-below-1",
+            "infeasible-sweep"))
     def test_hostile_range_exits_2_in_bounded_memory(self, ranges, message, seconds):
         # a range ending above the cap is rejected as it is read; a sweep
         # takes one spec at a time, so the first over the cap ends it

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+from itertools import product
 
 import pytest
 
@@ -16,8 +17,12 @@ from statusindex import (
     generate,
     transmission_profile,
 )
-from statusindex import families
-from statusindex.families import MAX_EDGES, above_cap, colex_subsets, edge_count, validate
+from statusindex import cli, families
+from statusindex.cli import main
+from statusindex.closed_forms import CLOSED_FORMS
+from statusindex.families import (
+    FAMILIES, MAX_EDGES, Family, above_cap, colex_subsets, edge_count, validate,
+)
 
 from oracles import complement, oracle_profile, subset_graph_adjacency
 
@@ -214,27 +219,39 @@ class TestBasicFamilies:
 
 
 class TestGenerationContracts:
-    ALL_SPECS = [
-        FamilySpec.hypercube(3),
-        FamilySpec.kneser(5, 2),
-        FamilySpec.kneser(7, 3),
-        FamilySpec.intersection(4, 2),
-        FamilySpec.intersection(5, 3),
-        FamilySpec.nanotorus(4, 4),
-        FamilySpec.nanotorus(4, 2),
-        FamilySpec.path(6),
-        FamilySpec.cycle(6),
-        FamilySpec.complete(5),
-    ]
+    @pytest.fixture(scope="class")
+    def swept(self):
+        """(spec, graph) for every valid spec of every kind in FAMILIES with
+        parameters in 1..11 that ``generate`` builds, so a family added to
+        the table is covered here with no edit."""
+        swept = []
+        for kind, family in FAMILIES.items():
+            for params in product(range(1, 12), repeat=len(family.params)):
+                try:
+                    spec = FamilySpec(kind, params)
+                    swept.append((spec, generate(spec)))
+                except FamilyError:  # VertexCapError included
+                    pass
+        return swept
 
-    def test_generation_is_deterministic(self):
-        for spec in self.ALL_SPECS:
-            assert format_edge_list(generate(spec)) == format_edge_list(generate(spec))
+    def test_generation_is_deterministic(self, swept):
+        for spec, g in swept:
+            assert format_edge_list(generate(spec)) == format_edge_list(g)
 
-    def test_generated_graphs_are_connected(self):
-        for spec in self.ALL_SPECS:
-            sigma, _, _ = oracle_profile(generate(spec).adjacency)
-            assert not above_cap(spec, len(sigma)) and above_cap(spec, len(sigma) - 1)
+    def test_static_constructors_build_the_same_spec(self, swept):
+        for spec, _ in swept:
+            construct = getattr(FamilySpec, spec.kind)
+            named = dict(zip(FAMILIES[spec.kind].params, spec.params))
+            assert construct(*spec.params) == construct(**named) == spec
+        assert FamilySpec.kneser(5, k=2) == FamilySpec("kneser", (5, 2))
+        with pytest.raises(TypeError, match=r"kneser\(\) takes parameters \('p', 'k'\)"):
+            FamilySpec.kneser(5, p=2)
+
+    def test_generated_graphs_are_connected(self, swept):
+        for spec, g in swept:
+            if g.n <= 40:  # the Floyd-Warshall oracle is cubic
+                sigma, _, _ = oracle_profile(g.adjacency)
+                assert not above_cap(spec, len(sigma)) and above_cap(spec, len(sigma) - 1)
 
     def test_vertex_cap(self):
         with pytest.raises(VertexCapError, match="cap"):
@@ -250,16 +267,10 @@ class TestGenerationContracts:
     def test_colex_subset_order(self):
         assert colex_subsets(4, 2) == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
 
-    def test_above_cap_matches_the_exact_order(self):
-        specs = [FamilySpec.hypercube(n) for n in range(1, 9)]
-        specs += [FamilySpec.kneser(p, k) for p in range(2, 12) for k in (1, 2, 3, 4)
-                  if k == 1 or p >= 2 * k + 1]
-        specs += [FamilySpec.intersection(p, t) for p in range(3, 12) for t in range(2, p)]
-        specs += [FamilySpec.nanotorus(4, 6), FamilySpec.path(7), FamilySpec.complete(1)]
-        for spec in specs:
-            order = generate(spec).n
-            for cap in sorted({-1, 0, 1, order - 1, order, order + 1}):
-                assert above_cap(spec, cap) == (order > cap), (spec, cap)
+    def test_above_cap_matches_the_exact_order(self, swept):
+        for spec, g in swept:
+            for cap in sorted({-1, 0, 1, g.n - 1, g.n, g.n + 1}):
+                assert above_cap(spec, cap) == (g.n > cap), (spec, cap)
 
     def test_expected_order(self):
         # above_cap is the only route to a spec's order; the built graph is another
@@ -273,17 +284,9 @@ class TestGenerationContracts:
             n = generate(spec).n
             assert not above_cap(spec, n) and above_cap(spec, n - 1), spec
 
-    def test_edge_count_matches_the_generated_graph(self):
-        specs = [FamilySpec.hypercube(n) for n in range(1, 10)]
-        specs += [FamilySpec.kneser(p, k) for p in range(2, 12) for k in (1, 2, 3, 4)
-                  if k == 1 or p >= 2 * k + 1]
-        specs += [FamilySpec.intersection(p, t) for p in range(3, 12) for t in range(2, p)]
-        specs += [FamilySpec.nanotorus(p, q) for p in (2, 4, 6) for q in (2, 4, 8) if p * q > 4]
-        specs += [FamilySpec.path(n) for n in (1, 2, 9)]
-        specs += [FamilySpec.cycle(n) for n in (3, 10)]
-        specs += [FamilySpec.complete(n) for n in (1, 2, 7)]
-        for spec in specs:
-            assert edge_count(spec) == generate(spec).m, spec
+    def test_edge_count_matches_the_generated_graph(self, swept):
+        for spec, g in swept:
+            assert edge_count(spec) == g.m, spec
 
     def test_edge_cap(self):
         # the densest graph the benchmark builds stays far below the cap
@@ -293,3 +296,31 @@ class TestGenerationContracts:
         with pytest.raises(VertexCapError, match=r"^complete\(n=2001\) has 2001000 edges, "
                            r"more than the cap of 2000000$"):
             generate(FamilySpec.complete(2001))
+
+
+class TestOneEntryPerFamily:
+    STAR = Family(
+        params=("n",), check=lambda n: None if n >= 2 else ": a star needs n >= 2",
+        order_above=lambda cap, n: n > cap, edges=lambda n: n - 1,
+        build=lambda n: Graph.from_edges(n, ((0, v) for v in range(1, n))),
+    )
+
+    def test_a_table_entry_is_the_whole_family(self, monkeypatch, capsys):
+        monkeypatch.setitem(FAMILIES, "star", self.STAR)
+        spec = FamilySpec("star", (5,))
+        validate(spec)
+        assert spec.label() == "star(n=5)"
+        assert (above_cap(spec, 4), above_cap(spec, 5), edge_count(spec)) == (True, False, 4)
+        assert generate(spec) == Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+        with pytest.raises(FamilyError, match=r"^star\(n=1\): a star needs n >= 2$"):
+            FamilySpec("star", (1,))
+        with pytest.raises(VertexCapError, match=r"^star\(n=20001\) has more vertices"):
+            generate(FamilySpec("star", (20001,)))
+        assert main(["generate", "--family", "star", "--n", "3"]) == 0
+        assert capsys.readouterr().out == format_edge_list(generate(FamilySpec("star", (3,))))
+
+    def test_every_rule_is_stated(self):
+        assert Family._field_defaults == {}
+        assert set(CLOSED_FORMS) <= set(FAMILIES)
+        names = {name for family in FAMILIES.values() for name in family.params}
+        assert set(cli._PARAM_FLAGS) == names

@@ -3,8 +3,11 @@ from __future__ import annotations
 import copy
 import pickle
 import re
+import shutil
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -478,6 +481,19 @@ class TestReadMemory:
 
     def test_read_peaks_near_the_adjacency(self, dense_path):
         g, peak = traced_peak(_read_graph, dense_path)
+        assert peak <= 1.6 * self.adjacency_size(g)
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir() or shutil.which("cat") is None,
+                        reason="needs /dev/fd and cat")
+    def test_piped_read_peaks_near_the_adjacency(self, tmp_path):
+        # a pipe is spooled to a temporary file and parsed as one, so it
+        # is held to the bound of a file, not read whole as text
+        path = tmp_path / "intersection-13-4.edges"
+        argv = ["generate", "--family", "intersection", "--p", "13", "--t", "4"]
+        assert main([*argv, "--output", str(path)]) == 0
+        with subprocess.Popen(["cat", str(path)], stdout=subprocess.PIPE) as cat:
+            g, peak = traced_peak(_read_graph, f"/dev/fd/{cat.stdout.fileno()}")
+        assert g == _read_graph(str(path))
         assert peak <= 1.6 * self.adjacency_size(g)
 
     def test_validation_peaks_below_half_the_adjacency(self, dense_path):
