@@ -289,47 +289,42 @@ def _json_int(value: int) -> str:
     return str(value) if -_SAFE_INT <= value <= _SAFE_INT else f'"{value}"'
 
 
-def _write_report_json(report: VerificationReport, extra: dict[str, Any] | None) -> None:
-    """Write the report's JSON row by row, the bytes that
-    ``json.dumps(payload, sort_keys=True, indent=2)`` gives for
-    ``payload = {"cases": [...], "summary": ..., **extra}``, for a report
-    of at least one case. Only the small ``summary`` and ``extra`` values
-    go through ``json.dumps``."""
+def _write_report_json(report: VerificationReport, skipped: Sequence[str]) -> None:
+    """Write the bytes of ``json.dumps(payload, sort_keys=True, indent=2)``
+    for ``payload = {"cases": [...], "summary": ..., "skipped": skipped}``,
+    ``skipped`` only when non-empty, for a report of at least one case.
+    ``json.dumps`` writes the payload with a ``null`` in place of the cases
+    (the first key, so the first ``null``); the case rows are written there
+    from the ``_CASE_ROW`` template."""
     out = sys.stdout
     enc = encode_basestring_ascii
-    sections: dict[str, Any] = {"cases": None, "summary": report.summary(), **(extra or {})}
+    sections: dict[str, Any] = {"cases": None, "summary": report.summary()}
+    if skipped:
+        sections["skipped"] = skipped
+    head, tail = json.dumps(sections, sort_keys=True, indent=2).split("null", 1)
     cases = report.sorted_cases()
-    head = "{\n  "
-    for key in sorted(sections):
-        out.write(f"{head}{enc(key)}: ")
-        head = ",\n  "
-        if key != "cases":
-            out.write(json.dumps(sections[key], sort_keys=True, indent=2).replace("\n", "\n  "))
-            continue
-        sep = "[\n"
-        for start in range(0, len(cases), _ROWS_PER_WRITE):
-            out.write(sep + ",\n".join([
-                _CASE_ROW % (
-                    enc(c.case_id), _json_int(c.formula), enc(c.index_name),
-                    "true" if c.match else "false", enc(c.mode), enc(c.note),
-                    _json_int(c.oracle), "true" if c.registered_erratum else "false",
-                )
-                for c in cases[start:start + _ROWS_PER_WRITE]
-            ]))
-            sep = ",\n"
-        out.write("\n  ]")
-    out.write("\n}\n")
+    sep = head + "[\n"
+    for start in range(0, len(cases), _ROWS_PER_WRITE):
+        out.write(sep + ",\n".join([
+            _CASE_ROW % (
+                enc(c.case_id), _json_int(c.formula), enc(c.index_name),
+                "true" if c.match else "false", enc(c.mode), enc(c.note),
+                _json_int(c.oracle), "true" if c.registered_erratum else "false",
+            )
+            for c in cases[start:start + _ROWS_PER_WRITE]
+        ]))
+        sep = ",\n"
+    out.write(f"\n  ]{tail}\n")
 
 
 def _print_report(report: VerificationReport, args: argparse.Namespace,
-                  extra: dict[str, Any] | None = None) -> int:
+                  skipped: Sequence[str] = ()) -> int:
     if not report.cases:
         # an empty run would otherwise print a clean summary and exit 0
-        skipped = len(extra["skipped"]) if extra else 0
-        detail = f" ({skipped} invalid parameter combinations skipped)" if skipped else ""
+        detail = f" ({len(skipped)} invalid parameter combinations skipped)" if skipped else ""
         raise ValueError(f"no cases checked{detail}")
     if args.json:
-        _write_report_json(report, extra)
+        _write_report_json(report, skipped)
     else:
         for c in report.sorted_cases():
             if c.match:
@@ -340,10 +335,8 @@ def _print_report(report: VerificationReport, args: argparse.Namespace,
                 status = "FAIL   "
             note = f"  [{c.note}]" if c.note else ""
             print(f"{status} {c.case_id} {c.index_name}: {c.formula} vs oracle {c.oracle}{note}")
-        if extra:
-            for key, value in extra.items():
-                for item in value if isinstance(value, list) else [value]:
-                    print(f"{key}: {item}")
+        for item in skipped:
+            print(f"skipped: {item}")
         summary = report.summary()
         print(
             f"summary: {summary['cases']} cases, {summary['passed']} passed, "
@@ -387,8 +380,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         specs = [s for s in default_grid() if s.kind == args.family]
     report = verify_grid(mode, specs)
-    extra = {"skipped": skipped} if skipped else None
-    return _print_report(report, args, extra)
+    return _print_report(report, args, skipped)
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:

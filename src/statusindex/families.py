@@ -13,7 +13,7 @@ from math import comb
 from operator import lt, not_
 from typing import Callable, NamedTuple
 
-from .graph import DEFAULT_MAX_VERTICES, Graph
+from .graph import DEFAULT_MAX_VERTICES, Graph, Value
 
 
 class Family(NamedTuple):
@@ -46,13 +46,14 @@ class VertexCapError(FamilyError):
 MAX_EDGES = 2_000_000
 
 
-class FamilySpec:
+class FamilySpec(Value):
     """A graph family tagged with its integer parameters. Immutable, and
     validated on construction; copies and unpickled specs are rebuilt
     through ``__init__`` and validated too. ``FamilySpec.<kind>(*params)``
     builds the spec of each kind in ``FAMILIES``."""
 
     __slots__ = ("kind", "params")
+    _fields = ("kind", "params")
 
     kind: str
     params: tuple[int, ...]
@@ -66,26 +67,6 @@ class FamilySpec:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
         validate(self)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable FamilySpec")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an immutable FamilySpec")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.kind == other.kind and self.params == other.params
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.params))
-
-    def __repr__(self) -> str:
-        return f"FamilySpec(kind={self.kind!r}, params={self.params!r})"
-
-    def __reduce__(self) -> tuple[type[FamilySpec], tuple[str, tuple[int, ...]]]:
-        return self.__class__, (self.kind, self.params)
 
     def label(self) -> str:
         names = FAMILIES[self.kind].params

@@ -35,7 +35,46 @@ class DisconnectedGraphError(GraphError):
     """A computation that needs a connected graph got a disconnected one."""
 
 
-class Graph:
+class Value:
+    """Base of the immutable values. ``_fields`` names the ``__init__``
+    arguments; ``__init__`` stores them with ``object.__setattr__``, since
+    assignment raises. Equality, hash and repr are those of the fields,
+    and copy, deepcopy and pickle rebuild through ``__init__``, so a copy
+    is validated as the original was."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple[Any, ...]:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(
+            f"cannot assign to field {name!r} of an immutable {type(self).__name__}"
+        )
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(
+            f"cannot delete field {name!r} of an immutable {type(self).__name__}"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple[type[Value], tuple[Any, ...]]:
+        return self.__class__, self._values()
+
+
+class Graph(Value):
     """Immutable undirected simple graph as sorted adjacency lists.
 
     ``adjacency[u]`` is the sorted tuple of neighbors of vertex ``u``;
@@ -45,6 +84,7 @@ class Graph:
     """
 
     __slots__ = ("n", "adjacency", "degrees")
+    _fields = ("n", "adjacency")
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
@@ -102,27 +142,6 @@ class Graph:
     def m(self) -> int:
         """Number of edges."""
         return sum(self.degrees) // 2
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable Graph")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an immutable Graph")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.adjacency == other.adjacency
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adjacency))
-
-    def __repr__(self) -> str:
-        return f"Graph(n={self.n!r}, adjacency={self.adjacency!r})"
-
-    def __reduce__(self) -> tuple[type[Graph], tuple[int, tuple[tuple[int, ...], ...]]]:
-        # copy, deepcopy and pickle rebuild through __init__, so they validate
-        return self.__class__, (self.n, self.adjacency)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""

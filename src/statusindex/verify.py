@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple
 
 from .closed_forms import INDEX_NAMES, closed_forms_for
 from .families import FamilySpec, generate
-from .graph import DisconnectedGraphError, Graph, transmission_profile
+from .graph import DisconnectedGraphError, Graph, Value, transmission_profile
 from .indices import (
     complement_bounds,
     diam2_coindex_formulas,
@@ -89,6 +89,10 @@ def demo_graph() -> Graph:
     )
 
 
+#: Fixture tag -> the graph whose published values its errata record.
+FIXTURE_GRAPHS = {DEMO_TAG: demo_graph}
+
+
 class VerificationCase(NamedTuple):
     """One oracle-vs-formula comparison."""
 
@@ -106,23 +110,18 @@ class VerificationCase(NamedTuple):
         return not self.match and not self.registered_erratum
 
 
-class VerificationReport:
-    """An order-insensitive collection of verification cases."""
+class VerificationReport(Value):
+    """An order-insensitive collection of verification cases. The field
+    is read-only, but its list grows by ``extend``, so a report is not
+    hashable."""
 
     __slots__ = ("cases",)
+    _fields = ("cases",)
+
+    cases: list[VerificationCase]
 
     def __init__(self, cases: list[VerificationCase] | None = None) -> None:
-        self.cases: list[VerificationCase] = [] if cases is None else cases
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.cases == other.cases
-
-    __hash__ = None  # mutable, like its list of cases
-
-    def __repr__(self) -> str:
-        return f"VerificationReport(cases={self.cases!r})"
+        object.__setattr__(self, "cases", [] if cases is None else cases)
 
     def extend(self, other: VerificationReport) -> None:
         self.cases.extend(other.cases)
@@ -206,8 +205,14 @@ def verify_identities(
     non-edge sums. When the diameter is at most 2, also checks the four
     degree-based co-index formulas; when the complement is connected,
     checks both complement lower bounds and the equality condition.
-    ``tag`` adds rows for registered fixture errata (published values).
+    ``tag`` adds rows for registered fixture errata (published values);
+    the graph must be the tag's fixture graph, or ValueError is raised.
     """
+    if tag is not None and g != FIXTURE_GRAPHS[tag]():
+        raise ValueError(
+            f"tag {tag!r} registers published values of its fixture graph only, "
+            f"and {case_id} is a different graph"
+        )
     tp = transmission_profile(g)
     s1, s2 = status_indices(g, tp)
     s1_co, s2_co = status_coindices_direct(g, tp)

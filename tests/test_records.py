@@ -1,14 +1,19 @@
 """The result records: cheap to import, immutable field by field."""
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import statusindex
 from statusindex import (
     ERRATA,
     FamilySpec,
+    Graph,
+    VerificationReport,
     complement_bounds,
     compute_index_bundle,
     diam2_coindex_formulas,
@@ -17,6 +22,7 @@ from statusindex import (
     transmission_profile,
     verify_identities,
 )
+from statusindex.graph import Value
 from statusindex.verify import demo_graph
 
 
@@ -56,3 +62,18 @@ def test_record_fields_are_read_only(record):
             delattr(record, name)
     with pytest.raises(AttributeError):
         record.other = 0
+
+
+def test_only_the_value_base_defines_value_methods():
+    # Graph, FamilySpec and VerificationReport take these from graph.Value;
+    # NamedTuples bring their own
+    methods = {"__eq__", "__hash__", "__reduce__", "__setattr__", "__delattr__"}
+    found = []
+    for info in pkgutil.iter_modules(statusindex.__path__):
+        module = importlib.import_module(f"statusindex.{info.name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and cls.__module__ == module.__name__
+                    and cls is not Value and not issubclass(cls, tuple)):
+                found += [f"{cls.__qualname__}.{name}" for name in methods & vars(cls).keys()]
+    assert found == []
+    assert {Graph, FamilySpec, VerificationReport} <= set(Value.__subclasses__())

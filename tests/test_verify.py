@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from statusindex import (
@@ -13,6 +16,7 @@ from statusindex import (
     VertexCapError,
     default_grid,
     demo_graph,
+    parse_edge_list,
     random_connected_graph,
     random_corpus,
     verify_family,
@@ -169,6 +173,17 @@ class TestVerifyIdentities:
         assert published.formula == 11 and published.oracle == 22
         assert not published.match and published.registered_erratum
         assert report.ok  # the registered mismatch is not a hard failure
+
+    def test_fixture_tag_needs_the_fixture_graph(self, demo5_path, p4_path):
+        assert parse_edge_list(demo5_path.read_text()) == demo_graph()
+        # the registry records 11 against 22 on the fixture only: on P4 the
+        # published row would read 11 vs 32, on K1 11 vs 0
+        for case_id, g in (("p4", parse_edge_list(p4_path.read_text())), ("k1", Graph(1, ((),)))):
+            with pytest.raises(ValueError, match=(
+                f"^tag 'demo5' registers published values of its fixture graph only, "
+                f"and {case_id} is a different graph$"
+            )):
+                verify_identities(g, case_id=case_id, tag=DEMO_TAG)
 
     def test_demo_graph_complement_is_disconnected_so_no_bound_rows(self):
         report = verify_identities(demo_graph())
@@ -335,6 +350,35 @@ class TestVerificationReport:
         assert [(c.case_id, c.index_name) for c in report.sorted_cases()] == [
             ("a", "s1"), ("a", "s2"), ("b", "s1"),
         ]
+
+    def test_an_immutable_value_with_a_growing_list(self, monkeypatch):
+        cases = [VerificationCase("a", "s1", 1, 1, "corrected", True)]
+        report = VerificationReport(cases=cases)
+        for name in ("cases", "other"):
+            with pytest.raises(AttributeError):
+                setattr(report, name, [])
+            with pytest.raises(AttributeError):
+                delattr(report, name)
+        report.extend(VerificationReport([VerificationCase("b", "s2", 2, 3, "corrected", False)]))
+        assert report.cases is cases and len(cases) == 2
+        assert report == VerificationReport(cases=list(cases))
+        assert report != VerificationReport() and report != cases
+        assert repr(report) == f"VerificationReport(cases={cases!r})"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(report)
+        calls = []
+        init = VerificationReport.__init__
+
+        def counted(self, cases=None):
+            calls.append(len(cases))
+            init(self, cases)
+
+        monkeypatch.setattr(VerificationReport, "__init__", counted)
+        for rebuilt in (copy.copy(report), copy.deepcopy(report),
+                        pickle.loads(pickle.dumps(report))):
+            assert rebuilt == report and rebuilt is not report
+        assert calls == [2] * 3
+        assert not hasattr(report, "__dict__")
 
     def test_default_grid_composition(self):
         grid = default_grid()
