@@ -23,8 +23,9 @@ from .families import FAMILIES, FamilySpec, FamilyError, above_cap, generate
 from .graph import DEFAULT_MAX_VERTICES, format_edge_list, parse_edge_list, transmission_profile
 from .indices import complement_bounds, compute_index_bundle
 from .verify import (
+    DEFAULT_COUNT,
     DEFAULT_SEED,
-    ERRATA,
+    FIXTURE_GRAPHS,
     VerificationReport,
     default_grid,
     verify_grid,
@@ -445,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mode", default="corrected",
                           choices=["corrected", "as-printed", "as_printed"])
     p_verify.add_argument("--seed", default=str(DEFAULT_SEED))
-    p_verify.add_argument("--count", default="200",
+    p_verify.add_argument("--count", default=str(DEFAULT_COUNT),
                           help="corpus size for --family random")
     p_verify.add_argument("--dense", action="store_true",
                           help="use the dense random corpus (diameter <= 2 coverage)")
@@ -462,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_identities.add_argument("path")
     p_identities.add_argument("--tag", default=None,
-                              choices=sorted({e.fixture for e in ERRATA} - {None}),
+                              choices=sorted(FIXTURE_GRAPHS),
                               help="fixture tag for registered published values")
     p_identities.add_argument("--json", action="store_true")
     p_identities.set_defaults(func=cmd_identities)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import comb
 from typing import Callable, NamedTuple
 
-from .families import FamilySpec
+from .families import FamilySpec, edge_count
 from .graph import exact_div
 from .indices import transmission_regular_indices
 
@@ -77,6 +77,7 @@ def intersection_closed_forms(p: int, t: int) -> ClosedFormReport:
     """
     spec = FamilySpec.intersection(p, t)
     n = comb(p, t)
+    m = edge_count(spec)
     disjoint = comb(p - t, t)
     degree = n - disjoint - 1
     k = n + disjoint - 1
@@ -87,10 +88,8 @@ def intersection_closed_forms(p: int, t: int) -> ClosedFormReport:
             "intersection s2 prefactor",
         ),
         "s1_co": disjoint * n * (n + disjoint - 1),
-        "s2_co": (comb(n, 2) - exact_div(n * (n - disjoint - 1), 2, "edge count"))
-        * (n + disjoint - 1) ** 2,
+        "s2_co": (comb(n, 2) - m) * (n + disjoint - 1) ** 2,
     }
-    m = exact_div(n * degree, 2, "intersection edge count")
     return _corrected_report(spec, n, m, degree, k, printed)
 
 
@@ -103,7 +102,7 @@ def hypercube_closed_forms(n: int) -> ClosedFormReport:
     """
     spec = FamilySpec.hypercube(n)
     size = 2 ** n
-    m = n * 2 ** (n - 1)
+    m = edge_count(spec)
     k = n * 2 ** (n - 1)
     printed = {
         "s1": n * n * 2 ** (2 * n - 1),
@@ -131,7 +130,7 @@ def kneser_closed_forms(p: int, k: int) -> ClosedFormReport:
     spec = FamilySpec.kneser(p, k)
     n = comb(p, k)
     degree = comb(p - k, k)
-    m = exact_div(n * degree, 2, "kneser edge count")
+    m = edge_count(spec)
     sigma = sum(comb(k, s) * comb(p - k, k - s) * kneser_distance(p, k, s) for s in range(k))
     wiener = exact_div(n * sigma, 2, "kneser Wiener index C(p,k)*sigma/2")
     s2 = degree * exact_div(2 * wiener * wiener, n, "kneser 2W^2/C(p,k)")
@@ -157,7 +156,7 @@ def nanotorus_closed_forms(p: int, q: int) -> ClosedFormReport:
     n = p * q
     a = min(p, q)
     poly = 6 * p * p + q * q - 4 if q < p else 3 * q * q + 3 * p * q + p * p - 4
-    m = exact_div(3 * n, 2, "nanotorus edge count")
+    m = edge_count(spec)
     sigma = exact_div(a * poly, 12, "nanotorus transmission")
     wiener = exact_div(n * a * poly, 24, "nanotorus Wiener index")
     printed = {

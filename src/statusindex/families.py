@@ -170,15 +170,19 @@ def _subset_graph(p: int, k: int, adjacent_when_disjoint: bool) -> Graph:
     return Graph(len(masks), tuple(adjacency))
 
 
-def _polyhex_lattice(rows: int, ring: int) -> Graph:
+def _nanotorus(p: int, q: int) -> Graph:
     """Hexagonal (brick-wall) lattice on a torus: ``rows`` closed zigzag
     rings of ``ring`` vertices each, with rungs between consecutive rings
-    at alternating positions.
+    at alternating positions; vertex (r, c) has id r*ring + c.
 
-    Vertex (r, c) has id r*ring + c. Callers pass an even ring >= 4 and
-    even rows >= 2: a ring of 2 would collapse its doubled bond and drop
-    to degree 2, which ``Graph`` rejects as a duplicate edge.
+    Rings run along the length direction q; that orientation makes the
+    published per-vertex transmission formulas hold with the parameters
+    as given. At q = 2 a ring would collapse its doubled bond and drop to
+    degree 2, which ``Graph`` rejects as a duplicate edge, so the lattice
+    is laid out transposed (rings along p); verification then reports the
+    published-formula agreement as a (p, q) exchange.
     """
+    rows, ring = (p, q) if q >= 4 else (q, p)
     edges = []
     for r in range(rows):
         base = r * ring
@@ -187,17 +191,6 @@ def _polyhex_lattice(rows: int, ring: int) -> Graph:
             if (r + c) % 2 == 0:
                 edges.append((base + c, ((r + 1) % rows) * ring + c))
     return Graph.from_edges(rows * ring, edges)
-
-
-def _nanotorus(p: int, q: int) -> Graph:
-    # Rings run along the length direction q; that orientation makes the
-    # published per-vertex transmission formulas hold with the parameters
-    # as given. At q = 2 the ring direction collapses, so the lattice is
-    # laid out transposed (rings along p); verification then reports the
-    # published-formula agreement as a (p, q) exchange.
-    if q >= 4:
-        return _polyhex_lattice(rows=p, ring=q)
-    return _polyhex_lattice(rows=q, ring=p)
 
 
 def _path(n: int) -> Graph:

@@ -9,7 +9,7 @@ a hard failure too.
 from __future__ import annotations
 
 import random
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .closed_forms import INDEX_NAMES, closed_forms_for
 from .families import FamilySpec, generate
@@ -24,6 +24,9 @@ from .indices import (
 
 #: Fixed default seed so repeated verification runs are reproducible.
 DEFAULT_SEED = 1729
+
+#: Default size of a seeded random corpus.
+DEFAULT_COUNT = 200
 
 MODES = ("corrected", "as_printed")
 
@@ -111,20 +114,16 @@ class VerificationCase(NamedTuple):
 
 
 class VerificationReport(Value):
-    """An order-insensitive collection of verification cases. The field
-    is read-only, but its list grows by ``extend``, so a report is not
-    hashable."""
+    """An order-insensitive collection of verification cases, stored as a
+    tuple: a report is built once from all its cases."""
 
     __slots__ = ("cases",)
     _fields = ("cases",)
 
-    cases: list[VerificationCase]
+    cases: tuple[VerificationCase, ...]
 
-    def __init__(self, cases: list[VerificationCase] | None = None) -> None:
-        object.__setattr__(self, "cases", [] if cases is None else cases)
-
-    def extend(self, other: VerificationReport) -> None:
-        self.cases.extend(other.cases)
+    def __init__(self, cases: Iterable[VerificationCase] = ()) -> None:
+        object.__setattr__(self, "cases", tuple(cases))
 
     def sorted_cases(self) -> list[VerificationCase]:
         return sorted(self.cases, key=lambda c: (c.case_id, c.index_name, c.mode))
@@ -253,9 +252,8 @@ def verify_identities(
                     "wiener": tp.wiener}
         for e in fixture_errata(tag):
             oracle = computed[e.index]
-            formula = oracle if e.printed_value is None else e.printed_value
             rows.append(VerificationCase(
-                case_id, f"published.{e.index}", oracle, formula, "as_printed",
+                case_id, f"published.{e.index}", oracle, e.printed_value, "as_printed",
                 oracle == e.printed_value, True, e.note,
             ))
     return VerificationReport(cases=rows)
@@ -321,7 +319,9 @@ _DENSE_NS = tuple(range(4, 11))
 _DENSE_PROBS = (0.75, 0.85, 0.95, 1.0)
 
 
-def random_corpus(count: int = 200, seed: int = DEFAULT_SEED, dense: bool = False) -> list[Graph]:
+def random_corpus(
+    count: int = DEFAULT_COUNT, seed: int = DEFAULT_SEED, dense: bool = False
+) -> list[Graph]:
     """A deterministic corpus of seeded connected random graphs.
 
     The mixed corpus sweeps n in 2..10 over a spread of densities; the
@@ -348,16 +348,16 @@ def random_corpus(count: int = 200, seed: int = DEFAULT_SEED, dense: bool = Fals
 
 
 def verify_random_suite(
-    count: int = 200, seed: int = DEFAULT_SEED, dense: bool = False
+    count: int = DEFAULT_COUNT, seed: int = DEFAULT_SEED, dense: bool = False
 ) -> VerificationReport:
     """Run the identity checks over a seeded random corpus.
 
     The checks run once per distinct graph; a graph drawn again under a
     later seed gets the first draw's rows under its own case id.
     """
-    report = VerificationReport()
+    cases: list[VerificationCase] = []
     kind = "dense" if dense else "mixed"
-    checked: dict[tuple[tuple[int, ...], ...], list[VerificationCase]] = {}
+    checked: dict[tuple[tuple[int, ...], ...], Sequence[VerificationCase]] = {}
     for i, g in enumerate(random_corpus(count=count, seed=seed, dense=dense)):
         case_id = f"random[{kind},seed={seed + i},n={g.n}]"
         rows = checked.get(g.adjacency)
@@ -365,8 +365,8 @@ def verify_random_suite(
             rows = checked[g.adjacency] = verify_identities(g, case_id=case_id).cases
         else:
             rows = [VerificationCase(case_id, *c[1:]) for c in rows]  # new case_id
-        report.cases.extend(rows)
-    return report
+        cases += rows
+    return VerificationReport(cases)
 
 
 def default_grid() -> list[FamilySpec]:
@@ -394,7 +394,7 @@ def verify_grid(
     mode: str = "corrected", specs: Iterable[FamilySpec] | None = None
 ) -> VerificationReport:
     """Verify every spec in the grid (default: the full family grid)."""
-    report = VerificationReport()
+    cases: list[VerificationCase] = []
     for spec in specs if specs is not None else default_grid():
-        report.extend(verify_family(spec, mode=mode))
-    return report
+        cases += verify_family(spec, mode=mode).cases
+    return VerificationReport(cases)

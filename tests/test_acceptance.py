@@ -156,8 +156,15 @@ def test_criterion_6_as_printed_mode(grid_as_printed):
 
 
 def test_criterion_7_nanotorus_construction_gate():
+    # the grid's tori plus every even size with p <= 10 and 4 <= q <= 12,
+    # and the transposed q = 2 tori
+    sizes = dict.fromkeys(
+        NANOTORUS_GRID
+        + tuple((p, q) for p in range(2, 11, 2) for q in range(4, 13, 2))
+        + tuple((p, 2) for p in range(4, 11, 2))
+    )
     exchanges = []
-    for p, q in NANOTORUS_GRID:
+    for p, q in sizes:
         spec = FamilySpec.nanotorus(p, q)
         g = generate(spec)
         assert g.n == p * q
@@ -165,22 +172,23 @@ def test_criterion_7_nanotorus_construction_gate():
         assert set(g.degrees) == {3}
         tp = transmission_profile(g)
         assert tp.regular_k is not None
-        direct = closed_forms_for(spec).sigma
-        if tp.regular_k == direct:
-            continue
-        # orientation exchange: must match the swapped parameters and the
-        # harness must say so
-        swapped = closed_forms_for(FamilySpec.nanotorus(q, p)).sigma
-        assert tp.regular_k == swapped
         report = verify_family(spec)
         assert report.ok
-        notes = {c.note for c in report.sorted_cases()}
-        assert any("parameter exchange" in note for note in notes)
+        exchanged = ["parameter exchange" in c.note for c in report.cases]
+        if tp.regular_k == closed_forms_for(spec).sigma:
+            assert not any(exchanged), (p, q)
+            continue
+        # orientation exchange: must match the swapped parameters and the
+        # harness must say so on every row
+        swapped = closed_forms_for(FamilySpec.nanotorus(q, p)).sigma
+        assert tp.regular_k == swapped
+        assert all(exchanged), (p, q)
         exchanges.append((p, q))
-    assert exchanges == [(4, 2)]  # the ring direction collapses only at q=2
-    _pass(7, "every grid torus is 3-regular with 3pq/2 edges and "
-             "transmission-regular at the branch value; the (4,2) orientation "
-             "exchange is reported")
+    # the ring direction collapses only at q=2
+    assert exchanges == [(4, 2), (6, 2), (8, 2), (10, 2)]
+    _pass(7, f"all {len(sizes)} tori are 3-regular with 3pq/2 edges and "
+             "transmission-regular at the branch value with the ring along q; "
+             "the (p,2) orientation exchanges are reported")
 
 
 def _cli(*argv: str) -> bytes:

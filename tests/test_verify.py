@@ -49,10 +49,11 @@ def reference_corpus(count, seed, dense):
 def per_graph_report(count, seed, dense):
     """The random suite checked graph by graph, with no reuse of rows."""
     kind = "dense" if dense else "mixed"
-    report = VerificationReport()
-    for i, g in enumerate(random_corpus(count=count, seed=seed, dense=dense)):
-        report.extend(verify_identities(g, case_id=f"random[{kind},seed={seed + i},n={g.n}]"))
-    return report
+    return VerificationReport([
+        case
+        for i, g in enumerate(random_corpus(count=count, seed=seed, dense=dense))
+        for case in verify_identities(g, case_id=f"random[{kind},seed={seed + i},n={g.n}]").cases
+    ])
 
 
 def rows_by_index(report):
@@ -76,6 +77,13 @@ class TestErratumRegistry:
 
     def test_registry_is_exactly_four_entries(self):
         assert len(ERRATA) == 4
+
+    def test_fixture_tags_and_graphs_correspond(self):
+        # identities --tag offers the FIXTURE_GRAPHS tags; a fixture erratum
+        # naming another tag would have no graph to check against
+        fixture_entries = [e for e in ERRATA if e.fixture is not None]
+        assert all(e.printed_value is not None for e in fixture_entries)
+        assert {e.fixture for e in fixture_entries} == set(verify.FIXTURE_GRAPHS)
 
 
 class TestVerifyFamily:
@@ -351,25 +359,29 @@ class TestVerificationReport:
             ("a", "s1"), ("a", "s2"), ("b", "s1"),
         ]
 
-    def test_an_immutable_value_with_a_growing_list(self, monkeypatch):
-        cases = [VerificationCase("a", "s1", 1, 1, "corrected", True)]
+    def test_an_immutable_value_built_once(self, monkeypatch):
+        cases = [
+            VerificationCase("a", "s1", 1, 1, "corrected", True),
+            VerificationCase("b", "s2", 2, 3, "corrected", False),
+        ]
         report = VerificationReport(cases=cases)
+        assert report.cases == tuple(cases) and type(report.cases) is tuple
+        cases.pop()  # the caller's list is copied, not aliased
+        assert len(report.cases) == 2
         for name in ("cases", "other"):
             with pytest.raises(AttributeError):
-                setattr(report, name, [])
+                setattr(report, name, ())
             with pytest.raises(AttributeError):
                 delattr(report, name)
-        report.extend(VerificationReport([VerificationCase("b", "s2", 2, 3, "corrected", False)]))
-        assert report.cases is cases and len(cases) == 2
-        assert report == VerificationReport(cases=list(cases))
-        assert report != VerificationReport() and report != cases
-        assert repr(report) == f"VerificationReport(cases={cases!r})"
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(report)
+        assert not hasattr(report, "extend")
+        equal = VerificationReport(iter(report.cases))
+        assert report == equal and hash(report) == hash(equal)
+        assert report != VerificationReport() and report != report.cases
+        assert repr(report) == f"VerificationReport(cases={report.cases!r})"
         calls = []
         init = VerificationReport.__init__
 
-        def counted(self, cases=None):
+        def counted(self, cases=()):
             calls.append(len(cases))
             init(self, cases)
 
@@ -377,6 +389,8 @@ class TestVerificationReport:
         for rebuilt in (copy.copy(report), copy.deepcopy(report),
                         pickle.loads(pickle.dumps(report))):
             assert rebuilt == report and rebuilt is not report
+            assert hash(rebuilt) == hash(report)
+            assert type(rebuilt.cases) is tuple
         assert calls == [2] * 3
         assert not hasattr(report, "__dict__")
 
