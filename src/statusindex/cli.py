@@ -18,14 +18,13 @@ from json.encoder import encode_basestring_ascii
 from math import comb, isqrt, prod
 from typing import Any, Callable, Iterator, Sequence
 
-from .closed_forms import CLOSED_FORMS, ClosedFormReport, closed_forms_for
+from .closed_forms import CLOSED_FORMS, closed_forms_for
 from .families import FAMILIES, FamilySpec, FamilyError, above_cap, generate
 from .graph import DEFAULT_MAX_VERTICES, format_edge_list, parse_edge_list, transmission_profile
 from .indices import complement_bounds, compute_index_bundle
 from .verify import (
     DEFAULT_COUNT,
     DEFAULT_SEED,
-    FIXTURE_GRAPHS,
     VerificationReport,
     default_grid,
     verify_grid,
@@ -101,6 +100,10 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+#: Most values in a range, combinations in a sweep and graphs in a random corpus.
+_MAX_SWEEP = DEFAULT_MAX_VERTICES + 1
+
+
 def _parse_range(text: str) -> range:
     """``a..b`` inclusive, or a single integer. A range ends at 1 or
     above, since every family parameter is positive, and at most at the
@@ -118,10 +121,8 @@ def _parse_range(text: str) -> range:
             raise ValueError(
                 f"range {text!r} ends above the vertex cap of {DEFAULT_MAX_VERTICES}"
             )
-        if hi - lo > DEFAULT_MAX_VERTICES:
-            raise ValueError(
-                f"range {text!r} holds more than {DEFAULT_MAX_VERTICES + 1} values"
-            )
+        if hi - lo >= _MAX_SWEEP:
+            raise ValueError(f"range {text!r} holds more than {_MAX_SWEEP} values")
         return range(lo, hi + 1)
     value = _integer(text)
     return range(value, value + 1)
@@ -209,18 +210,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _closed_form_payload(report: ClosedFormReport, mode: str) -> dict[str, Any]:
-    return {
-        **report._asdict(),
-        "family": report.family.label(),
-        "mode": mode,
-        "indices": {
-            name: {**value._asdict(), "erratum": value.erratum}
-            for name, value in report.indices.items()
-        },
-    }
-
-
 #: Text-output order of the closed-form fields before the indices.
 _CLOSED_FORM_KEYS = ("family", "n", "m", "degree", "sigma", "wiener")
 
@@ -253,17 +242,22 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
             "digits, the limit for writing an integer as text"
         )
     report = closed_forms_for(spec)
-    mode = "as_printed" if args.as_printed else "corrected"
     # every value is formatted before anything is written
-    payload = _jsonable(_closed_form_payload(report, mode))
+    payload = _jsonable({
+        **report._asdict(),
+        "family": report.family.label(),
+        "indices": {
+            name: {**value._asdict(), "erratum": value.erratum}
+            for name, value in report.indices.items()
+        },
+    })
     if args.json:
         _print_json(payload)
         return 0
-    other = "corrected" if mode == "as_printed" else "as_printed"
     lines = [f"{key}: {payload[key]}" for key in _CLOSED_FORM_KEYS]
     for name, value in payload["indices"].items():
-        suffix = f"  (erratum: {other.replace('_', ' ')} {value[other]})" if value["erratum"] else ""
-        lines.append(f"{name}: {value[mode]}{suffix}")
+        suffix = f"  (erratum: as printed {value['as_printed']})" if value["erratum"] else ""
+        lines.append(f"{name}: {value['corrected']}{suffix}")
     print("\n".join(lines))
     return 0
 
@@ -348,7 +342,6 @@ def _print_report(report: VerificationReport, args: argparse.Namespace,
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    count, seed = _integer(args.count), _integer(args.seed)
     mode = args.mode.replace("-", "_")
     given_params = [
         name for name in _PARAM_FLAGS if getattr(args, name, None) is not None
@@ -360,8 +353,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise FamilyError(
                 f"--family random takes --count/--seed/--dense, not --{given_params[0]}"
             )
+        count = DEFAULT_COUNT if args.count is None else _integer(args.count)
+        seed = DEFAULT_SEED if args.seed is None else _integer(args.seed)
+        if count > _MAX_SWEEP:  # checked before anything is drawn
+            raise ValueError(f"--count {count} is more than {_MAX_SWEEP}")
         report = verify_random_suite(count=count, seed=seed, dense=args.dense)
         return _print_report(report, args)
+    for flag, value in (("count", args.count), ("seed", args.seed), ("dense", args.dense)):
+        if value not in (None, False):
+            raise FamilyError(f"--{flag} applies to --family random only")
     skipped: list[str] = []
     if args.family is None:
         if given_params:
@@ -372,10 +372,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif given_params:
         ranges = _family_params(args, _parse_range)
         combinations = prod(map(len, ranges))
-        if combinations > DEFAULT_MAX_VERTICES + 1:  # the limit of one range
+        if combinations > _MAX_SWEEP:
             raise ValueError(
-                f"the ranges hold {combinations} parameter combinations, "
-                f"more than {DEFAULT_MAX_VERTICES + 1}"
+                f"the ranges hold {combinations} parameter combinations, more than {_MAX_SWEEP}"
             )
         specs = _specs_from_ranges(args.family, ranges, skipped)
     else:
@@ -392,7 +391,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_identities(args: argparse.Namespace) -> int:
     g = _read_graph(args.path)
-    report = verify_identities(g, case_id=args.path, tag=args.tag)
+    report = verify_identities(g, case_id=args.path)
     return _print_report(report, args)
 
 
@@ -413,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         "of connected graphs, with family generators and closed-form verification.",
     )
     # --count and --seed stay strings, like the family parameters, until
-    # the command reads them with _integer
+    # the command reads them with _integer; None means not given
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="compute all indices of an edge-list file")
@@ -430,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_closed = sub.add_parser("closed-form", help="evaluate a family's closed-form indices")
     p_closed.add_argument("--family", required=True, choices=sorted(CLOSED_FORMS))
     _add_family_arguments(p_closed, ranged=False)
-    p_closed.add_argument("--as-printed", action="store_true", dest="as_printed",
-                          help="show the published expressions' values")
     p_closed.add_argument("--json", action="store_true")
     p_closed.set_defaults(func=cmd_closed_form)
 
@@ -443,13 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--family", default=None, choices=sorted(CLOSED_FORMS) + ["random"],
     )
     _add_family_arguments(p_verify, ranged=True)
-    p_verify.add_argument("--mode", default="corrected",
-                          choices=["corrected", "as-printed", "as_printed"])
-    p_verify.add_argument("--seed", default=str(DEFAULT_SEED))
-    p_verify.add_argument("--count", default=str(DEFAULT_COUNT),
-                          help="corpus size for --family random")
+    p_verify.add_argument("--mode", default="corrected", choices=["corrected", "as-printed"])
+    p_verify.add_argument("--seed", help=f"first seed for --family random (default {DEFAULT_SEED})")
+    p_verify.add_argument("--count", help=f"corpus size for --family random "
+                          f"(default {DEFAULT_COUNT}, at most {_MAX_SWEEP})")
     p_verify.add_argument("--dense", action="store_true",
-                          help="use the dense random corpus (diameter <= 2 coverage)")
+                          help="use the dense random corpus for --family random "
+                          "(diameter <= 2 coverage)")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -462,9 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         "identities", help="co-index identity and bound checks for a graph file"
     )
     p_identities.add_argument("path")
-    p_identities.add_argument("--tag", default=None,
-                              choices=sorted(FIXTURE_GRAPHS),
-                              help="fixture tag for registered published values")
     p_identities.add_argument("--json", action="store_true")
     p_identities.set_defaults(func=cmd_identities)
 
@@ -480,10 +474,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        import traceback  # only this path needs it; importing it costs start-up
-
-        traceback.print_exc()
-        print(f"internal error: {exc}", file=sys.stderr)
+        # sys.__excepthook__ needs no import, which can fail again after a
+        # MemoryError; printing can fail too, and the exit stays 3 either way
+        try:
+            sys.__excepthook__(type(exc), exc, exc.__traceback__)
+            print(f"internal error: {exc}", file=sys.stderr)
+        except Exception:
+            pass
         return 3
 
 

@@ -13,7 +13,7 @@ from math import comb
 from operator import lt, not_
 from typing import Callable, NamedTuple
 
-from .graph import DEFAULT_MAX_VERTICES, Graph, Value
+from .graph import DEFAULT_MAX_VERTICES, MAX_EDGES, Graph, Value
 
 
 class Family(NamedTuple):
@@ -38,12 +38,6 @@ class FamilyError(ValueError):
 
 class VertexCapError(FamilyError):
     """Requested graph exceeds the vertex cap or the edge cap."""
-
-
-#: Most edges ``generate`` builds. Building a graph and writing it as an
-#: edge list take about 155 bytes per edge, so this keeps ``generate``
-#: near 300 MB; the vertex cap alone allows K20000, about 2 * 10^8 edges.
-MAX_EDGES = 2_000_000
 
 
 class FamilySpec(Value):
@@ -239,11 +233,9 @@ FAMILIES: dict[str, Family] = {
 
 
 def _constructor(kind: str) -> staticmethod:
-    def construct(*params: int, **named: int) -> FamilySpec:
-        rest = FAMILIES[kind].params[len(params):]  # the names keywords may give
-        if named.keys() - set(rest):
-            raise TypeError(f"FamilySpec.{kind}() takes parameters {FAMILIES[kind].params}")
-        return FamilySpec(kind, params + tuple(named[name] for name in rest if name in named))
+    def construct(*params: int) -> FamilySpec:
+        return FamilySpec(kind, params)
+    construct.__qualname__ = f"FamilySpec.{kind}"
     return staticmethod(construct)
 
 

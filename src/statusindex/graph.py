@@ -17,6 +17,12 @@ from typing import Any, Iterable, Iterator, NamedTuple, Sequence, TextIO
 #: Largest vertex count that parsing and generation accept by default.
 DEFAULT_MAX_VERTICES = 20_000
 
+#: Most edges ``generate`` builds, and most complement edges
+#: ``complement_rows`` lists. Building a graph and writing it as an edge
+#: list take about 155 bytes per edge, so this keeps ``generate`` near
+#: 300 MB; the vertex cap alone allows K20000, about 2 * 10^8 edges.
+MAX_EDGES = 2_000_000
+
 #: Sources per pass of the transmission engine. Each per-vertex bitset
 #: holds one bit per source of the pass, so at the vertex cap one array
 #: of them stays near 10 MB.
@@ -313,9 +319,19 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_complement(g: Graph) -> None:
+    """Raise GraphError when the complement of ``g`` has more than
+    MAX_EDGES edges, the most ``complement_rows`` lists."""
+    edges = g.n * (g.n - 1) // 2 - g.m
+    if edges > MAX_EDGES:
+        raise GraphError(f"the complement has {edges} edges, more than the cap of {MAX_EDGES}")
+
+
 def complement_rows(g: Graph) -> list[list[int]]:
     """The sorted rows of the complement of ``g``: for each vertex, the
-    vertices other than itself that are not its neighbours."""
+    vertices other than itself that are not its neighbours. Checks the
+    edge cap (``check_complement``) before it lists any."""
+    check_complement(g)
     vertices = set(range(g.n))
     return [sorted(vertices.difference(row, (u,))) for u, row in enumerate(g.adjacency)]
 

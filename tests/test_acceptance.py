@@ -10,7 +10,6 @@ import sys
 
 from statusindex import (
     DEFAULT_SEED,
-    DEMO_TAG,
     FamilySpec,
     Graph,
     closed_forms_for,
@@ -45,7 +44,7 @@ def test_criterion_1_demo_fixture(demo5_path):
     assert bundle.s2 == 169
     assert bundle.s2_co == 60
     assert bundle.s1_co == 22
-    report = verify_identities(g, case_id="demo5", tag=DEMO_TAG)
+    report = verify_identities(g, case_id="demo5")
     published = [c for c in report.sorted_cases() if c.index_name == "published.s1_co"]
     assert len(published) == 1
     row = published[0]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import subprocess
@@ -20,7 +21,7 @@ from statusindex import (
     default_grid,
     verify_random_suite,
 )
-from statusindex import cli
+from statusindex import cli, indices, verify
 from statusindex.cli import main
 from statusindex.families import FAMILIES
 
@@ -38,6 +39,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_in_512_mb(*argv):
+    """Run the command in a child process limited to 512 MB of address
+    space; returns its CompletedProcess and the seconds it took."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "statusindex", *argv],
+                            capture_output=True, text=True, preexec_fn=limit_memory)
+    return result, time.perf_counter() - start
 
 
 class TestCompute:
@@ -170,6 +183,26 @@ class TestCompute:
         assert "internal error: total transmission must be even" in err
         assert "Traceback" in err
 
+    def test_internal_error_exits_3_without_an_import(self, capsys, demo5_path, monkeypatch):
+        # after a MemoryError an import can fail again, and so can printing;
+        # neither may turn exit 3 into another code
+        def exhausted(g, tp):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "compute_index_bundle", exhausted)
+        monkeypatch.setitem(sys.modules, "traceback", None)
+        code, out, err = run(capsys, "compute", str(demo5_path))
+        assert (code, out) == (3, "")
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("MemoryError\ninternal error: \n")
+
+        class Unwritable(io.StringIO):
+            def write(self, text):
+                raise MemoryError
+
+        monkeypatch.setattr(sys, "stderr", Unwritable())
+        assert main(["compute", str(demo5_path)]) == 3
+
 
 class TestGenerate:
     def test_hypercube_2(self, capsys):
@@ -280,12 +313,12 @@ class TestClosedForm:
         assert "s1_co: 16" in out
 
     def test_as_printed_hypercube_shows_errata(self, capsys):
-        code, out, _ = run(
-            capsys, "closed-form", "--family", "hypercube", "--n", "2", "--as-printed"
-        )
+        # the published value stands beside the corrected one on its line
+        code, out, _ = run(capsys, "closed-form", "--family", "hypercube", "--n", "2")
         assert code == 0
-        assert "s1_co: -16" in out
-        assert "erratum" in out
+        assert "s1_co: 16  (erratum: as printed -16)\n" in out
+        assert "s2_co: 32  (erratum: as printed 80)\n" in out
+        assert "s1: 32\n" in out
 
     def test_intersection_values(self, capsys):
         code, out, _ = run(capsys, "closed-form", "--family", "intersection",
@@ -312,7 +345,7 @@ class TestClosedForm:
         assert payload["indices"]["s2"]["corrected"] == str(15 ** 3 * 2 ** 42)
         assert isinstance(payload["indices"]["s1"]["corrected"], int)
 
-    @pytest.mark.parametrize("flags", ([], ["--json"], ["--as-printed"]))
+    @pytest.mark.parametrize("flags", ([], ["--json"]))
     def test_value_over_the_digit_limit_writes_nothing(self, capsys, digit_limit, flags):
         # hypercube(3566) passes the order gate, but its corrected s2_co,
         # (C(2^n, 2) - n 2^(n-1)) (n 2^(n-1))^2, has 4301 digits
@@ -363,12 +396,11 @@ class TestClosedForm:
 
     def test_json_payload_fields(self, capsys):
         code, out, _ = run(capsys, "closed-form", "--family", "nanotorus",
-                           "--p", "8", "--q", "6", "--json", "--as-printed")
+                           "--p", "8", "--q", "6", "--json")
         assert code == 0
         payload = json.loads(out)
-        assert set(payload) == {"family", "mode", "n", "m", "degree", "sigma", "wiener",
-                                "indices"}
-        assert (payload["family"], payload["mode"]) == ("nanotorus(p=8, q=6)", "as_printed")
+        assert set(payload) == {"family", "n", "m", "degree", "sigma", "wiener", "indices"}
+        assert payload["family"] == "nanotorus(p=8, q=6)"
         assert list(payload["indices"]) == ["s1", "s1_co", "s2", "s2_co"]
         for value in payload["indices"].values():
             assert list(value) == ["as_printed", "corrected", "erratum"]
@@ -447,6 +479,29 @@ class TestVerify:
         assert code == 2
         assert "summary" not in out
         assert err.startswith("error: no cases checked")
+
+    def test_count_above_the_cap_draws_nothing(self, capsys, monkeypatch):
+        def drawn(**kwargs):
+            raise AssertionError("the corpus was drawn")
+
+        monkeypatch.setattr(cli, "verify_random_suite", drawn)
+        code, out, err = run(capsys, "verify", "--family", "random", "--count", "20002")
+        assert (code, out, err) == (2, "", "error: --count 20002 is more than 20001\n")
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    def test_hostile_count_exits_2_in_bounded_memory(self):
+        result, elapsed = run_in_512_mb("verify", "--family", "random", "--count", "100000000")
+        assert (result.returncode, result.stdout) == (2, ""), result.stderr
+        assert result.stderr == "error: --count 100000000 is more than 20001\n"
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("flags", (("--count", "10"), ("--seed", "1"), ("--dense",)))
+    @pytest.mark.parametrize("family", ((), ("--family", "hypercube", "--n", "2")))
+    def test_random_flags_need_family_random(self, capsys, family, flags):
+        # read and then ignored would look like a setting that took effect
+        code, out, err = run(capsys, "verify", *family, *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flags[0]} applies to --family random only\n"
 
     def test_random_suite_rejects_as_printed(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "random",
@@ -578,15 +633,7 @@ class TestVerify:
     def test_hostile_range_exits_2_in_bounded_memory(self, ranges, message, seconds):
         # a range ending above the cap is rejected as it is read; a sweep
         # takes one spec at a time, so the first over the cap ends it
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-        start = time.perf_counter()
-        result = subprocess.run(
-            [sys.executable, "-m", "statusindex", "verify", *ranges],
-            capture_output=True, text=True, preexec_fn=limit_memory,
-        )
-        elapsed = time.perf_counter() - start
+        result, elapsed = run_in_512_mb("verify", *ranges)
         assert result.returncode == 2, result.stderr
         assert result.stdout == ""
         assert result.stderr == f"error: {message}\n"
@@ -610,6 +657,31 @@ class TestBounds:
         assert "s1_actual: 28" in out
         assert "equality: False" in out
 
+    @pytest.mark.parametrize("command", ("bounds", "identities"))
+    def test_complement_above_the_edge_cap_exits_2(self, capsys, tmp_path, monkeypatch,
+                                                   command):
+        # C2002 has the fewest vertices of the cycles whose complement is
+        # over the cap; identities checks the cap before its own BFS
+        def unreachable(g):
+            raise AssertionError("distances computed")
+
+        path = tmp_path / "cycle2002.edges"
+        assert run(capsys, "generate", "--family", "cycle", "--n", "2002", "-o", str(path))[0] == 0
+        monkeypatch.setattr(verify, "transmission_profile", unreachable)
+        monkeypatch.setattr(indices, "profile_from_rows", unreachable)
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: the complement has 2000999 edges, more than the cap of 2000000\n"
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    def test_sparse_file_at_the_vertex_cap_exits_2_in_bounded_memory(self, capsys, tmp_path):
+        path = tmp_path / "cycle20000.edges"
+        assert run(capsys, "generate", "--family", "cycle", "--n", "20000", "-o", str(path))[0] == 0
+        result, _ = run_in_512_mb("bounds", str(path))
+        assert (result.returncode, result.stdout) == (2, ""), result.stderr
+        assert result.stderr == ("error: the complement has 199970000 edges, "
+                                 "more than the cap of 2000000\n")
+
     def test_disconnected_complement_exits_2(self, capsys, tmp_path):
         path = tmp_path / "k4.edges"
         path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
@@ -618,27 +690,25 @@ class TestBounds:
 
 
 class TestIdentities:
-    def test_demo_fixture_with_tag(self, capsys, demo5_path):
-        code, out, _ = run(capsys, "identities", str(demo5_path), "--tag", "demo5")
+    def test_demo_fixture_reports_its_published_value(self, capsys, demo5_path, p4_path):
+        # the fixture graph is recognised from its edges, whatever the file
+        code, out, _ = run(capsys, "identities", str(demo5_path))
         assert code == 0
-        assert "erratum" in out
-        assert "11 vs oracle 22" in out
+        assert f"erratum {demo5_path} published.s1_co: 11 vs oracle 22  [" in out
+        assert out.endswith("summary: 7 cases, 6 passed, 1 registered errata, "
+                            "0 hard failures\n")
+        code, out, _ = run(capsys, "identities", str(p4_path))
+        assert code == 0
+        assert "published" not in out
 
     def test_tag_on_another_graph_exits_2(self, capsys, p4_path):
-        # the registry records the published value for the fixture graph only
-        code, out, err = run(capsys, "identities", str(p4_path), "--tag", "demo5")
-        assert (code, out) == (2, "")
-        assert err == (f"error: tag 'demo5' registers published values of its fixture "
-                       f"graph only, and {p4_path} is a different graph\n")
-
-    def test_unknown_tag_exits_2(self, capsys, demo5_path):
-        # a tag with no registered fixture would silently add no rows
+        # there is no --tag: the published rows follow from the graph itself
         with pytest.raises(SystemExit) as exc:
-            main(["identities", str(demo5_path), "--tag", "nosuchtag"])
+            main(["identities", str(p4_path), "--tag", "demo5"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "invalid choice: 'nosuchtag'" in captured.err
+        assert "unrecognized arguments: --tag demo5" in captured.err
 
     def test_json_contains_rows(self, capsys, c5_path):
         code, out, _ = run(capsys, "identities", str(c5_path), "--json")
@@ -738,3 +808,41 @@ class TestReportJson:
         assert code == 0
         report = verify_random_suite(count=200, seed=DEFAULT_SEED, dense=True)
         assert out == oracle_report_json(report)
+
+
+#: Every option of the program and of each subcommand, in the order
+#: ``build_parser`` adds them: adding or removing a setting edits this table.
+FAMILY_FLAGS = ("--n", "--p", "--q", "--k", "--t")
+OPTIONS = {
+    "statusindex": ("-h", "--help"),
+    "compute": ("-h", "--help", "--json"),
+    "generate": ("-h", "--help", "--family", *FAMILY_FLAGS, "-o", "--output"),
+    "closed-form": ("-h", "--help", "--family", *FAMILY_FLAGS, "--json"),
+    "verify": ("-h", "--help", "--family", *FAMILY_FLAGS, "--mode", "--seed", "--count",
+               "--dense", "--json"),
+    "bounds": ("-h", "--help", "--json"),
+    "identities": ("-h", "--help", "--json"),
+}
+
+
+class TestSettings:
+    def test_options_are_the_table(self):
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        found = {name: tuple(s for a in sub._actions for s in a.option_strings)
+                 for name, sub in [("statusindex", parser), *commands.choices.items()]}
+        assert found == OPTIONS
+
+    @pytest.mark.parametrize("argv, message", (
+        (("closed-form", "--family", "hypercube", "--n", "3", "--as-printed"),
+         "unrecognized arguments: --as-printed"),
+        (("verify", "--mode", "as_printed"), "invalid choice: 'as_printed'"),
+    ), ids=("closed-form-as-printed", "verify-mode-underscore"))
+    def test_removed_settings_exit_2(self, capsys, argv, message):
+        # identities --tag: see TestIdentities.test_tag_on_another_graph_exits_2
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err

@@ -79,11 +79,11 @@ class TestErratumRegistry:
         assert len(ERRATA) == 4
 
     def test_fixture_tags_and_graphs_correspond(self):
-        # identities --tag offers the FIXTURE_GRAPHS tags; a fixture erratum
-        # naming another tag would have no graph to check against
+        # a fixture erratum naming a tag with no graph would never be checked
         fixture_entries = [e for e in ERRATA if e.fixture is not None]
         assert all(e.printed_value is not None for e in fixture_entries)
-        assert {e.fixture for e in fixture_entries} == set(verify.FIXTURE_GRAPHS)
+        assert {e.fixture for e in fixture_entries} == set(verify.FIXTURE_GRAPHS.values())
+        assert verify.FIXTURE_GRAPHS == {demo_graph().adjacency: DEMO_TAG}
 
 
 class TestVerifyFamily:
@@ -167,7 +167,7 @@ class TestVerifyGrid:
 
 class TestVerifyIdentities:
     def test_demo_graph_with_fixture_tag(self):
-        report = verify_identities(demo_graph(), case_id="demo5", tag=DEMO_TAG)
+        report = verify_identities(demo_graph(), case_id="demo5")
         rows = rows_by_index(report)
         assert rows["identity.s1_co"].oracle == 22 and rows["identity.s1_co"].match
         assert rows["identity.s2_co"].oracle == 60 and rows["identity.s2_co"].match
@@ -182,16 +182,29 @@ class TestVerifyIdentities:
         assert not published.match and published.registered_erratum
         assert report.ok  # the registered mismatch is not a hard failure
 
-    def test_fixture_tag_needs_the_fixture_graph(self, demo5_path, p4_path):
-        assert parse_edge_list(demo5_path.read_text()) == demo_graph()
+    def test_fixture_tag_needs_the_fixture_graph(self, demo5_path, p4_path, monkeypatch):
         # the registry records 11 against 22 on the fixture only: on P4 the
         # published row would read 11 vs 32, on K1 11 vs 0
-        for case_id, g in (("p4", parse_edge_list(p4_path.read_text())), ("k1", Graph(1, ((),)))):
-            with pytest.raises(ValueError, match=(
-                f"^tag 'demo5' registers published values of its fixture graph only, "
-                f"and {case_id} is a different graph$"
-            )):
-                verify_identities(g, case_id=case_id, tag=DEMO_TAG)
+        for g in (parse_edge_list(p4_path.read_text()), Graph(1, ((),))):
+            report = verify_identities(g)
+            assert not any(c.index_name.startswith("published.") for c in report.cases)
+        # the fixture is recognised from its edges by one lookup, without
+        # building the fixture graph again
+        monkeypatch.setattr(verify, "demo_graph", None)
+        report = verify_identities(parse_edge_list(demo5_path.read_text()), case_id="file")
+        published = [c for c in report.cases if c.index_name.startswith("published.")]
+        assert [(c.case_id, c.index_name, c.oracle, c.formula) for c in published] == [
+            ("file", "published.s1_co", 22, 11)
+        ]
+
+    def test_random_suite_reports_each_draw_of_the_fixture(self):
+        # seed 345 of the dense corpus draws the fixture graph
+        report = verify_random_suite(count=345, seed=1, dense=True)
+        published = [c for c in report.cases if c.index_name.startswith("published.")]
+        assert [(c.case_id, c.oracle, c.formula, c.registered_erratum) for c in published] == [
+            ("random[dense,seed=345,n=5]", 22, 11, True)
+        ]
+        assert report.ok and report.summary()["registered_errata"] == 1
 
     def test_demo_graph_complement_is_disconnected_so_no_bound_rows(self):
         report = verify_identities(demo_graph())
