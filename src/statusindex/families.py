@@ -8,9 +8,9 @@ Generation is pure: identical specs give identical adjacency lists.
 """
 from __future__ import annotations
 
-from itertools import combinations, compress
+from itertools import combinations, compress, filterfalse
 from math import comb
-from operator import lt, not_
+from operator import lt
 from typing import Callable, NamedTuple
 
 from .graph import DEFAULT_MAX_VERTICES, MAX_EDGES, Graph, Value
@@ -149,19 +149,28 @@ def _hypercube(n: int) -> Graph:
 
 
 def _subset_graph(p: int, k: int, adjacent_when_disjoint: bool) -> Graph:
-    # Subsets as bitmasks, so a & b is their intersection; compress
-    # keeps the colex ranks whose intersection with a is (non)empty.
-    bit = [1 << i for i in range(p)]
-    masks = [sum(map(bit.__getitem__, s)) for s in colex_subsets(p, k)]
-    ranks = range(len(masks))
+    # A k-subset misses s exactly when it is a k-subset of the complement
+    # of s. With subsets keyed by their elements in decreasing order,
+    # combinations over the complement in decreasing order yields those
+    # C(p - k, k) keys in decreasing colex rank. An intersection row is
+    # every other rank, kept by compress in one C pass. Rows hold the
+    # ints of ``ranks``, so each rank is one object.
+    ranks = tuple(range(comb(p, k)))
+    rank = {s[::-1]: r for s, r in zip(colex_subsets(p, k), ranks)}
+    top = range(p - 1, -1, -1)
+    everyone = b"\1" * len(ranks)
     adjacency = []
-    for u, a in enumerate(masks):
-        meets = map(a.__and__, masks)
-        row = list(compress(ranks, map(not_, meets) if adjacent_when_disjoint else meets))
+    for u, s in enumerate(rank):
+        rest = filterfalse(set(s).__contains__, top)
+        row = tuple(map(rank.__getitem__, combinations(rest, k)))[::-1]
         if not adjacent_when_disjoint:
-            row.remove(u)  # every subset meets itself
-        adjacency.append(tuple(row))
-    return Graph(len(masks), tuple(adjacency))
+            keep = bytearray(everyone)
+            keep[u] = 0  # every subset meets itself
+            for v in row:
+                keep[v] = 0
+            row = tuple(compress(ranks, keep))
+        adjacency.append(row)
+    return Graph(len(ranks), adjacency)
 
 
 def _nanotorus(p: int, q: int) -> Graph:

@@ -7,6 +7,7 @@ first, then dividing it exactly with ``graph.exact_div``.
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .graph import (
@@ -68,14 +69,18 @@ def edge_sums(rows: Sequence[Sequence[int]], weights: Sequence[int]) -> tuple[in
     graph whose vertex ``u`` has the neighbours ``rows[u]``.
 
     Summed row by row: the first sum is sum of deg(u) * w_u, and the
-    second counts each edge from both ends, so it is halved.
+    second counts each edge from both ends, so it is halved. A row's
+    weights are gathered by one ``itemgetter`` call on ``weights`` padded
+    with a 0, whose index is passed twice so that a row of zero or one
+    entries still gets a tuple.
     """
-    weight = weights.__getitem__
+    padded = (*weights, 0)
+    pad = len(weights)
     total = 0
     doubled = 0
     for w, row in zip(weights, rows):
         total += len(row) * w
-        doubled += w * sum(map(weight, row))
+        doubled += w * sum(itemgetter(pad, pad, *row)(padded))
     return total, exact_div(doubled, 2, "half the edge product sum counted from both ends")
 
 

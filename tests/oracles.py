@@ -73,6 +73,18 @@ def oracle_indices(adjacency) -> dict[str, int]:
     return out
 
 
+def oracle_edge_sums(adjacency, weights) -> tuple[int, int]:
+    """(sum of w_u + w_v, sum of w_u * w_v) over the edges uv, u < v,
+    by edge enumeration."""
+    total = product = 0
+    for u, row in enumerate(adjacency):
+        for v in row:
+            if u < v:
+                total += weights[u] + weights[v]
+                product += weights[u] * weights[v]
+    return total, product
+
+
 def oracle_nonedge_sums(adjacency, weights) -> tuple[int, int]:
     """(sum of w_u + w_v, sum of w_u * w_v) over the non-adjacent pairs,
     by pair enumeration."""

@@ -165,6 +165,18 @@ class TestSubsetFamilies:
             g = generate(FamilySpec.intersection(p, t))
             assert g.adjacency == subset_graph_adjacency(p, t, disjoint=False)
 
+    @pytest.mark.parametrize("kind", ["kneser", "intersection"])
+    def test_order_330_matches_frozenset_definition(self, kind):
+        g = generate(FamilySpec(kind, (11, 4)))
+        assert g.adjacency == subset_graph_adjacency(11, 4, disjoint=kind == "kneser")
+
+    @pytest.mark.parametrize("kind", ["kneser", "intersection"])
+    def test_rows_share_one_int_per_rank(self, kind):
+        # 330 vertices: most ranks lie above CPython's cache of small ints
+        g = generate(FamilySpec(kind, (11, 4)))
+        assert g.n == 330
+        assert len({id(v) for row in g.adjacency for v in row}) == g.n
+
 
 class TestNanotorus:
     GRID = ((4, 2), (2, 4), (4, 4), (6, 4), (4, 6), (8, 6))

@@ -26,7 +26,7 @@ from statusindex import closed_forms, indices
 from statusindex.graph import exact_div
 from statusindex.verify import demo_graph, random_connected_graph
 
-from oracles import oracle_indices, oracle_nonedge_sums
+from oracles import oracle_edge_sums, oracle_indices, oracle_nonedge_sums
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -82,6 +82,20 @@ def weighted_graphs(draw):
         )
     )
     return Graph.from_edges(n, edges), weights
+
+
+class TestEdgeSumsOnAnyWeights:
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_graphs())
+    def test_matches_edge_enumeration(self, graph_and_weights):
+        # isolated vertices, K1 and one-entry rows included
+        g, weights = graph_and_weights
+        assert edge_sums(g.adjacency, weights) == oracle_edge_sums(g.adjacency, weights)
+
+    def test_rows_of_zero_and_one_entries(self):
+        assert edge_sums(K1.adjacency, (2**70,)) == (0, 0)
+        assert edge_sums(K2.adjacency, (3, -(2**70))) == (3 - 2**70, -3 * 2**70)
+        assert edge_sums(((1,), (0,), ()), (5, 7, 11)) == (12, 35)
 
 
 class TestNonedgeSums:

@@ -1,12 +1,17 @@
-"""scripts/record_bench.py reads runner output; perfbench/spans.py wraps live names."""
+"""scripts/record_bench.py reads runner output; perfbench/spans.py wraps
+live names; the benchmark's generated inputs keep their recorded digests."""
 from __future__ import annotations
 
 import ast
+import hashlib
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+
+from statusindex.cli import main
 
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
@@ -63,14 +68,20 @@ def test_record_bench_reads_the_four_workloads():
     ]
 
 
-def traced_layers() -> list[tuple[str, str]]:
-    """The (module, qualname) pairs of ``LAYERS`` in ``perfbench/spans.py``,
-    read from its syntax tree: the tracer is not imported or run."""
-    tree = ast.parse((PERFBENCH / "spans.py").read_text(encoding="utf-8"))
+def assigned_value(path: Path, name: str) -> ast.expr:
+    """The value assigned to the annotated module-level ``name`` in
+    ``path``, read from its syntax tree: the module is not imported or run."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in tree.body:
-        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "LAYERS":
-            return [(layer.elts[0].value, layer.elts[1].value) for layer in node.value.elts]
-    raise AssertionError("perfbench/spans.py defines no LAYERS")
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == name:
+            return node.value
+    raise AssertionError(f"{path.name} defines no {name}")
+
+
+def traced_layers() -> list[tuple[str, str]]:
+    """The (module, qualname) pairs of ``LAYERS`` in ``perfbench/spans.py``."""
+    layers = assigned_value(PERFBENCH / "spans.py", "LAYERS").elts
+    return [(layer.elts[0].value, layer.elts[1].value) for layer in layers]
 
 
 def test_every_traced_layer_resolves():
@@ -88,3 +99,15 @@ def test_every_traced_layer_resolves():
         if owner is None or vars(owner).get(attr) is None:
             missing.append((module_name, qualname))
     assert [layer for layer in missing if layer != known] == []
+
+
+def test_benchmark_inputs_keep_their_recorded_digests(tmp_path):
+    # the benchmark generates these files before it runs, and a byte
+    # change would otherwise show only as a failed operation there
+    expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))["inputs"]
+    inputs = ast.literal_eval(assigned_value(PERFBENCH / "bench.py", "INPUTS"))
+    assert sorted(inputs) == sorted(expected)
+    for name, argv in inputs.items():
+        path = tmp_path / name
+        assert main(["generate", *argv, "-o", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == expected[name], name
