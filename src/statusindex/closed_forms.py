@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 from .families import FamilySpec, edge_count
 from .graph import exact_div
-from .indices import transmission_regular_indices
+from .indices import coindex_identity, transmission_regular_indices
 
 INDEX_NAMES = ("s1", "s2", "s1_co", "s2_co")
 
@@ -54,18 +54,18 @@ def _corrected_report(
     family: FamilySpec, n: int, m: int, degree: int, k: int,
     printed: dict[str, int],
 ) -> ClosedFormReport:
-    s1, s2, s1_co, s2_co = transmission_regular_indices(n, m, k)
     wiener = exact_div(n * k, 2, "n*k/2 (Wiener index)")
-    corrected = {"s1": s1, "s2": s2, "s1_co": s1_co, "s2_co": s2_co}
-    # the corrected values must satisfy the co-index identities exactly
-    half_bracket = exact_div((n * k) ** 2 - n * k * k, 2, "half the transmission pair-sum bracket")
-    if s1_co != 2 * (n - 1) * wiener - s1 or s2_co != half_bracket - s2:
+    # every sigma is k: edge sums 2mk and mk^2, sum sigma nk, sum sigma^2 nk^2
+    s1, s2 = 2 * m * k, m * k * k
+    values = (s1, s2, *coindex_identity(n, n * k, n * k * k, s1, s2))
+    # the (C(n,2) - m)k factoring of transmission_regular_indices is independent algebra
+    if values != transmission_regular_indices(n, m, k):
         raise ArithmeticError(f"{family.label()}: corrected values break the co-index identities")
     return ClosedFormReport(
         family=family, n=n, m=m, degree=degree, sigma=k, wiener=wiener,
         indices={
-            name: FormulaValue(corrected=corrected[name], as_printed=printed[name])
-            for name in INDEX_NAMES
+            name: FormulaValue(corrected=value, as_printed=printed[name])
+            for name, value in zip(INDEX_NAMES, values)
         },
     )
 

@@ -1,9 +1,10 @@
 """Status and Zagreb connectivity indices and co-indices.
 
 Status indices sum transmissions over edges; the co-indices take the
-same sums over non-adjacent pairs. Everything is exact integer
-arithmetic: halved quantities are computed by forming the even integer
-first, then dividing it exactly with ``graph.exact_div``.
+same sums over non-adjacent pairs, which ``coindex_identity`` derives
+from the edge sums with the transmissions or the degrees as weights.
+Everything is exact integer arithmetic: halved quantities are computed
+by forming the even integer first, then dividing it exactly with ``exact_div``.
 """
 from __future__ import annotations
 
@@ -120,6 +121,14 @@ def nonedge_sums(rows: Sequence[Sequence[int]], weights: Sequence[int]) -> tuple
     return total, product
 
 
+def coindex_identity(n: int, total: int, squares: int, e1: int, e2: int) -> tuple[int, int]:
+    """Non-edge sums from the edge sums e1, e2 of any weights w on n
+    vertices, with sum w = ``total`` and sum w^2 = ``squares``: the sums
+    over all C(n,2) pairs, (n-1)*total and (total^2 - squares)/2, less e1, e2."""
+    half = exact_div(total * total - squares, 2, "half the pair-sum bracket")
+    return (n - 1) * total - e1, half - e2
+
+
 def status_indices(g: Graph, tp: TransmissionProfile) -> tuple[int, int]:
     """First and second status connectivity indices (edge sums)."""
     return edge_sums(g.adjacency, tp.sigma)
@@ -135,18 +144,8 @@ def status_coindices_direct(g: Graph, tp: TransmissionProfile) -> tuple[int, int
 
 
 def status_coindices_identity(tp: TransmissionProfile, s1: int, s2: int) -> tuple[int, int]:
-    """Status co-indices via the pair-sum identities.
-
-    s1_co = 2(n-1)W - s1, and s2_co subtracts s2 from half of the even
-    bracket (sum sigma)^2 - sum sigma^2.
-    """
-    n = len(tp.sigma)
-    s1_co = 2 * (n - 1) * tp.wiener - s1
-    total = sum(tp.sigma)
-    sum_sq = sum(s * s for s in tp.sigma)
-    bracket = total * total - sum_sq
-    s2_co = exact_div(bracket, 2, "half the transmission pair-sum bracket") - s2
-    return s1_co, s2_co
+    """Status co-indices by the pair-sum identity, with sum sigma = 2W."""
+    return coindex_identity(len(tp.sigma), 2 * tp.wiener, sum(s * s for s in tp.sigma), s1, s2)
 
 
 def zagreb_indices(g: Graph) -> tuple[int, int]:
@@ -156,9 +155,9 @@ def zagreb_indices(g: Graph) -> tuple[int, int]:
 
 
 def zagreb_coindices_identity(n: int, m: int, m1: int, m2: int) -> tuple[int, int]:
-    """Zagreb co-indices from the Zagreb indices (Ashrafi, Doslic and
-    Hamzeh, 2010): m1_co = 2m(n-1) - M1 and m2_co = 2m^2 - M2 - M1/2."""
-    return 2 * m * (n - 1) - m1, 2 * m * m - m2 - exact_div(m1, 2, "M1/2")
+    """Zagreb co-indices by the pair-sum identity on the degrees, whose
+    sum is 2m and sum of squares M1 (Ashrafi, Doslic and Hamzeh, 2010)."""
+    return coindex_identity(n, 2 * m, m1, m1, m2)
 
 
 def zagreb_coindices(g: Graph) -> tuple[int, int]:

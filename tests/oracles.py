@@ -7,7 +7,7 @@ with the library's BFS / edge-iteration paths.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import chain, combinations, permutations, product
 
 from statusindex import DEFAULT_MAX_VERTICES, Graph
 
@@ -122,6 +122,54 @@ def subset_graph_adjacency(p: int, k: int, disjoint: bool) -> tuple[tuple[int, .
         )
         for u, a in enumerate(subsets)
     )
+
+
+def canonical_form(n: int, edges) -> tuple[tuple[int, int], ...]:
+    """The least sorted edge tuple over the relabellings that keep each
+    cell of vertices with one (degree, sorted neighbour degrees) in its
+    place among the cells, taken in sorted invariant order. Isomorphic
+    graphs have equal invariants, cell by cell, so equal forms."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    invariant = [(len(row), tuple(sorted(len(nbrs[v]) for v in row))) for row in nbrs]
+    cells = [[v for v in range(n) if invariant[v] == key] for key in sorted(set(invariant))]
+
+    def relabelled(order):
+        position = {v: i for i, v in enumerate(chain.from_iterable(order))}
+        return tuple(sorted(tuple(sorted((position[u], position[v]))) for u, v in edges))
+
+    return min(map(relabelled, product(*map(permutations, cells))))
+
+
+def graphs_up_to(max_n: int) -> dict[int, list[tuple[tuple[int, int], ...]]]:
+    """Every graph on 1..max_n vertices up to isomorphism, as canonical
+    edge tuples by order: each graph on n - 1 vertices is extended by a
+    vertex n - 1 joined to every subset of the others."""
+    graphs = {1: [()]}
+    for n in range(2, max_n + 1):
+        graphs[n] = sorted({
+            canonical_form(n, edges + tuple((v, n - 1) for v in joined))
+            for edges in graphs[n - 1]
+            for size in range(n)
+            for joined in combinations(range(n - 1), size)
+        })
+    return graphs
+
+
+def is_connected(n: int, edges) -> bool:
+    """Whether the graph on vertices 0..n-1 with these edges is connected,
+    by growing the component of vertex 0 until no edge leaves it."""
+    reached = {0}
+    grew = True
+    while grew:
+        grew = False
+        for u, v in edges:
+            if (u in reached) != (v in reached):
+                reached |= {u, v}
+                grew = True
+    return len(reached) == n
 
 
 def reference_random_connected_graph(n: int, edge_probability: float, seed: int) -> Graph:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
 
@@ -153,6 +155,22 @@ class TestNanotorusClosedForms:
         assert corrected(report)["s1_co"] == (8 * 7 - 24) * 16 == 512
 
 
+#: test_broken_identity_raises as a script: hypercube(3) with
+#: transmission_regular_indices patched to return s1_co off by one.
+BROKEN_IDENTITY = """
+from statusindex import closed_forms
+
+real = closed_forms.transmission_regular_indices
+
+def off_by_one(n, m, k):
+    s1, s2, s1_co, s2_co = real(n, m, k)
+    return s1, s2, s1_co + 1, s2_co
+
+closed_forms.transmission_regular_indices = off_by_one
+closed_forms.hypercube_closed_forms(3)
+"""
+
+
 class TestInvariantChecks:
     """The internal consistency checks raise explicitly, so they hold
     under ``python -O`` too."""
@@ -169,6 +187,15 @@ class TestInvariantChecks:
         monkeypatch.setattr(closed_forms, "transmission_regular_indices", off_by_one)
         with pytest.raises(ArithmeticError, match="co-index identities"):
             hypercube_closed_forms(3)
+
+    def test_broken_identity_raises_under_optimize(self):
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", BROKEN_IDENTITY], capture_output=True, text=True,
+        )
+        assert result.returncode == 1
+        assert result.stderr.splitlines()[-1] == (
+            "ArithmeticError: hypercube(n=3): corrected values break the co-index identities"
+        )
 
 
 class TestDispatcher:
@@ -211,14 +238,14 @@ def test_corrected_closed_forms_match_oracle(spec):
 
 
 def test_corrected_closed_forms_satisfy_identities():
-    # the identity consistency is asserted inside the constructor; this
-    # exercises it over a wider sweep, including large values
+    # the corrected co-indices come from the pair-sum identity; on a
+    # k-transmission-regular graph each of the C(n,2) - m non-adjacent
+    # pairs adds 2k and k^2, checked here over a wider sweep with large values
     for spec in ORACLE_SPECS + [FamilySpec.hypercube(n) for n in range(6, 16)]:
         report = closed_forms_for(spec)
-        n, k = report.n, report.sigma
-        s1 = report.indices["s1"].corrected
-        s1_co = report.indices["s1_co"].corrected
-        assert s1_co == 2 * (n - 1) * report.wiener - s1
+        non_edges, k = comb(report.n, 2) - report.m, report.sigma
+        assert report.indices["s1_co"].corrected == non_edges * 2 * k, spec.label()
+        assert report.indices["s2_co"].corrected == non_edges * k * k, spec.label()
 
 
 # every connected Kneser graph small enough for Floyd-Warshall, and the

@@ -24,6 +24,7 @@ from statusindex import (
 )
 from statusindex import closed_forms, indices
 from statusindex.graph import exact_div
+from statusindex.indices import coindex_identity
 from statusindex.verify import demo_graph, random_connected_graph
 
 from oracles import oracle_edge_sums, oracle_indices, oracle_nonedge_sums
@@ -103,7 +104,11 @@ class TestNonedgeSums:
     @given(weighted_graphs())
     def test_matches_pair_enumeration(self, graph_and_weights):
         g, weights = graph_and_weights
-        assert nonedge_sums(g.adjacency, weights) == oracle_nonedge_sums(g.adjacency, weights)
+        expected = oracle_nonedge_sums(g.adjacency, weights)
+        assert nonedge_sums(g.adjacency, weights) == expected
+        # the pair-sum identity holds for any weights, not only sigma and degrees
+        squares = sum(w * w for w in weights)
+        assert coindex_identity(g.n, sum(weights), squares, *edge_sums(g.adjacency, weights)) == expected
 
     @pytest.mark.parametrize("g", [K1, K2, K4, K5], ids=["K1", "K2", "K4", "K5"])
     def test_complete_graphs_have_no_non_edges(self, g):

@@ -19,6 +19,7 @@ from statusindex import (
     parse_edge_list,
     random_connected_graph,
     random_corpus,
+    transmission_profile,
     verify_family,
     verify_identities,
     verify_random_suite,
@@ -26,7 +27,7 @@ from statusindex import (
 from statusindex import verify
 from statusindex.verify import fixture_errata, registered_erratum
 
-from oracles import reference_random_connected_graph
+from oracles import graphs_up_to, is_connected, reference_random_connected_graph
 
 #: (n values, edge probabilities) of the mixed and the dense corpus: graph
 #: i has n = ns[i % len(ns)] and p = probs[(i // len(ns)) % len(probs)].
@@ -35,6 +36,15 @@ CORPUS_SCHEDULES = {
     True: (tuple(range(4, 11)), (0.75, 0.85, 0.95, 1.0)),
 }
 
+
+#: OEIS A000088 and A001349: the graphs and the connected graphs on n
+#: vertices, up to isomorphism.
+GRAPH_COUNTS = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+#: Of the connected graphs on n vertices: those whose complement is
+#: connected too, and those among them where both complement bounds hold
+#: with equality.
+COMPLEMENT_COUNTS = {2: (0, 0), 3: (0, 0), 4: (1, 0), 5: (8, 2), 6: (68, 16)}
 
 def reference_corpus(count, seed, dense):
     ns, probs = CORPUS_SCHEDULES[dense]
@@ -226,6 +236,26 @@ class TestVerifyIdentities:
         report = verify_identities(g)
         assert not any("diam2" in c.index_name for c in report.sorted_cases())
 
+
+    def test_every_connected_graph_on_two_to_six_vertices(self):
+        graphs = graphs_up_to(6)
+        assert {n: len(graphs[n]) for n in GRAPH_COUNTS} == GRAPH_COUNTS
+        complement_counts = {}
+        for n in GRAPH_COUNTS:
+            connected = [Graph.from_edges(n, edges) for edges in graphs[n] if is_connected(n, edges)]
+            assert len(connected) == CONNECTED_COUNTS[n]
+            with_complement = equality = 0
+            for g in connected:
+                rows = rows_by_index(verify_identities(g))
+                assert not [c for c in rows.values() if c.hard_failure], g.adjacency
+                if "complement_bound.equality_iff" in rows:
+                    with_complement += 1
+                    equality += rows["complement_bound.equality_iff"].formula
+                # transmission-regular only when degree-regular
+                if transmission_profile(g).regular_k is not None:
+                    assert len(set(g.degrees)) == 1, g.adjacency
+            complement_counts[n] = (with_complement, equality)
+        assert complement_counts == COMPLEMENT_COUNTS
 
 class TestRandomGraphs:
     def test_deterministic_for_a_seed(self):
