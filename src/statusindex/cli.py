@@ -297,7 +297,7 @@ def _write_report_json(report: VerificationReport, skipped: Sequence[str]) -> No
     if skipped:
         sections["skipped"] = skipped
     head, tail = json.dumps(sections, sort_keys=True, indent=2).split("null", 1)
-    cases = report.sorted_cases()
+    cases = report.cases
     sep = head + "[\n"
     for start in range(0, len(cases), _ROWS_PER_WRITE):
         out.write(sep + ",\n".join([
@@ -321,7 +321,7 @@ def _print_report(report: VerificationReport, args: argparse.Namespace,
     if args.json:
         _write_report_json(report, skipped)
     else:
-        for c in report.sorted_cases():
+        for c in report.cases:
             if c.match:
                 status = "ok     "
             elif c.registered_erratum:

@@ -135,11 +135,6 @@ def _binomial_above(cap: int, p: int, k: int) -> bool:
     return order > cap
 
 
-def colex_subsets(p: int, k: int) -> list[tuple[int, ...]]:
-    """All k-subsets of {0..p-1} in colexicographic order."""
-    return sorted(combinations(range(p), k), key=lambda s: s[::-1])
-
-
 def _hypercube(n: int) -> Graph:
     size = 1 << n
     adjacency = tuple(
@@ -149,15 +144,16 @@ def _hypercube(n: int) -> Graph:
 
 
 def _subset_graph(p: int, k: int, adjacent_when_disjoint: bool) -> Graph:
-    # A k-subset misses s exactly when it is a k-subset of the complement
-    # of s. With subsets keyed by their elements in decreasing order,
-    # combinations over the complement in decreasing order yields those
-    # C(p - k, k) keys in decreasing colex rank. An intersection row is
-    # every other rank, kept by compress in one C pass. Rows hold the
-    # ints of ``ranks``, so each rank is one object.
+    # Subsets are keyed by their elements in decreasing order; combinations
+    # of elements in decreasing order yields the keys in decreasing colex
+    # rank, so reversed they come in colex order. A k-subset misses s
+    # exactly when it is a k-subset of the complement of s, so the same
+    # walk over the complement yields those C(p - k, k) keys in decreasing
+    # rank. An intersection row is every other rank, kept by compress in
+    # one C pass. Rows hold the ints of ``ranks``, so each rank is one object.
     ranks = tuple(range(comb(p, k)))
-    rank = {s[::-1]: r for s, r in zip(colex_subsets(p, k), ranks)}
     top = range(p - 1, -1, -1)
+    rank = dict(zip(reversed(list(combinations(top, k))), ranks))
     everyone = b"\1" * len(ranks)
     adjacency = []
     for u, s in enumerate(rank):

@@ -218,8 +218,8 @@ def parse_edge_list(source: str | TextIO) -> Graph:
     and a file (opened with universal newlines, the default) is read a
     line at a time, never whole. Each error names its line. Repeated
     edges are left to the graph's validation: only when it rejects one
-    are the lines read again, the file from its start, to name the line
-    that repeats an earlier edge.
+    are the lines read again, the file from its start, keeping only the
+    repeated pairs, to name the line that repeats an earlier edge.
     """
     if isinstance(source, str):
         source = io.StringIO(source, newline=None)
@@ -284,15 +284,21 @@ def parse_edge_list(source: str | TextIO) -> Graph:
         return Graph(len(rows), tuple(rows))
     except GraphError:
         # Every edge passed its line's checks, so the graph rejected a
-        # repeated one: read the lines again to name the line that repeats
-        # an earlier edge. Only edge lines start with a digit.
+        # repeated one: a sorted row lists a repeated neighbour twice in a
+        # row. Read the lines again, keeping only those pairs, to name the
+        # line that repeats an earlier edge; only an edge line is two parts
+        # that start with an id.
+        repeated = {(u, v) for u, row in enumerate(rows)
+                    for v, w in zip(row, row[1:]) if v == w and u < v}
         source.seek(0)
-        seen: set[frozenset[int]] = set()
+        seen: set[tuple[int, int]] = set()
         for lineno, line in enumerate(source, start=1):
             parts = line.split()
-            if parts and parts[0].isdigit():
-                u, v = map(int, parts)
-                if (key := frozenset((u, v))) in seen:
+            if len(parts) != 2 or (u := _vertex_id(parts[0])) is None:
+                continue
+            v = _vertex_id(parts[1])
+            if (key := (u, v) if u < v else (v, u)) in repeated:
+                if key in seen:
                     raise ParseError(f"line {lineno}: duplicate edge {u} {v}") from None
                 seen.add(key)
         raise

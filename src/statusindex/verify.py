@@ -9,6 +9,7 @@ a hard failure too.
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .closed_forms import INDEX_NAMES, closed_forms_for
@@ -116,8 +117,9 @@ class VerificationCase(NamedTuple):
 
 
 class VerificationReport(Value):
-    """An order-insensitive collection of verification cases, stored as a
-    tuple: a report is built once from all its cases."""
+    """A collection of verification cases, stored as a tuple in output
+    order: sorted once, when the report is built, by case id, index name
+    and mode. Reports of the same cases are equal in any given order."""
 
     __slots__ = ("cases",)
     _fields = ("cases",)
@@ -125,16 +127,9 @@ class VerificationReport(Value):
     cases: tuple[VerificationCase, ...]
 
     def __init__(self, cases: Iterable[VerificationCase] = ()) -> None:
-        object.__setattr__(self, "cases", tuple(cases))
-
-    def sorted_cases(self) -> list[VerificationCase]:
-        return sorted(self.cases, key=lambda c: (c.case_id, c.index_name, c.mode))
-
-    def hard_failures(self) -> list[VerificationCase]:
-        return [c for c in self.sorted_cases() if c.hard_failure]
-
-    def errata_cases(self) -> list[VerificationCase]:
-        return [c for c in self.sorted_cases() if not c.match and c.registered_erratum]
+        object.__setattr__(
+            self, "cases", tuple(sorted(cases, key=attrgetter("case_id", "index_name", "mode")))
+        )
 
     def summary(self) -> dict[str, int]:
         return {

@@ -146,15 +146,22 @@ def canonical_form(n: int, edges) -> tuple[tuple[int, int], ...]:
 def graphs_up_to(max_n: int) -> dict[int, list[tuple[tuple[int, int], ...]]]:
     """Every graph on 1..max_n vertices up to isomorphism, as canonical
     edge tuples by order: each graph on n - 1 vertices is extended by a
-    vertex n - 1 joined to every subset of the others."""
+    vertex n - 1 joined to each subset of the others that leaves it of
+    least degree. Deleting a vertex of least degree from any graph on n
+    vertices leaves one on n - 1, so no graph is missed."""
     graphs = {1: [()]}
     for n in range(2, max_n + 1):
-        graphs[n] = sorted({
-            canonical_form(n, edges + tuple((v, n - 1) for v in joined))
-            for edges in graphs[n - 1]
-            for size in range(n)
-            for joined in combinations(range(n - 1), size)
-        })
+        found = set()
+        for edges in graphs[n - 1]:
+            degree = [0] * (n - 1)
+            for u, v in edges:
+                degree[u] += 1
+                degree[v] += 1
+            for size in range(n):
+                for joined in combinations(range(n - 1), size):
+                    if all(degree[v] + (v in joined) >= size for v in range(n - 1)):
+                        found.add(canonical_form(n, edges + tuple((v, n - 1) for v in joined)))
+        graphs[n] = sorted(found)
     return graphs
 
 

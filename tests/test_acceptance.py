@@ -45,7 +45,7 @@ def test_criterion_1_demo_fixture(demo5_path):
     assert bundle.s2_co == 60
     assert bundle.s1_co == 22
     report = verify_identities(g, case_id="demo5")
-    published = [c for c in report.sorted_cases() if c.index_name == "published.s1_co"]
+    published = [c for c in report.cases if c.index_name == "published.s1_co"]
     assert len(published) == 1
     row = published[0]
     assert row.formula == 11 and row.oracle == 22
@@ -121,7 +121,7 @@ def test_criterion_5_family_grid_corrected(grid_corrected):
     assert summary["passed"] == summary["cases"] == 216  # 36 specs x 6 quantities
     petersen = {
         c.index_name: c.oracle
-        for c in report.sorted_cases()
+        for c in report.cases
         if c.case_id == "kneser(p=5, k=2)"
     }
     assert petersen == {
@@ -136,10 +136,10 @@ def test_criterion_6_as_printed_mode(grid_as_printed):
     assert report.ok  # nothing unregistered
     mismatches = {
         (c.case_id, c.index_name): (c.formula, c.oracle)
-        for c in report.sorted_cases()
+        for c in report.cases
         if not c.match
     }
-    assert all(c.registered_erratum for c in report.sorted_cases() if not c.match)
+    assert all(c.registered_erratum for c in report.cases if not c.match)
     # the three registered spot checks, at their exact values
     assert mismatches[("hypercube(n=2)", "s1_co")] == (-16, 16)
     assert mismatches[("hypercube(n=2)", "s2_co")] == (80, 32)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import subprocess
@@ -733,6 +734,21 @@ class TestJsonStability:
         b = run(capsys, "verify", "--family", "intersection", "--json")[1]
         assert a == b
 
+    @pytest.mark.parametrize("argv, digest", [
+        ((), "37a5407ede7ddc15dffaf798b8f9b4e5bb5b3e75e258e225d7ad2757add92444"),
+        (("--mode", "as-printed"),
+         "8d8c794ddae373e7dd9feecae0c7e178d433d56cbc388b06f2cd3463082cf18b"),
+        (("--family", "random", "--count", "200"),
+         "d206fa8b7824469dcaa7230a11bd8cabeefc1e5f6c46f2320d8d2a7b60770977"),
+        (("--family", "random", "--count", "200", "--dense"),
+         "aa21aaff126f23ab5eb94e99921688dbcd63326333f84295269883bffd871ae5"),
+    ], ids=["grid", "as-printed", "random", "dense"])
+    def test_verify_json_bytes_are_pinned(self, capsys, argv, digest):
+        # row order and note text included: the bytes of the report itself
+        code, out, err = run(capsys, "verify", "--json", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 def oracle_report_json(report: VerificationReport, skipped=()) -> str:
     """The report as ``json.dumps(indent=2)`` renders a payload dict of it:
@@ -750,7 +766,7 @@ def oracle_report_json(report: VerificationReport, skipped=()) -> str:
                 "registered_erratum": c.registered_erratum,
                 "note": c.note,
             }
-            for c in report.sorted_cases()
+            for c in report.cases
         ],
     }
     if skipped:

@@ -21,7 +21,7 @@ from statusindex import cli, families
 from statusindex.cli import main
 from statusindex.closed_forms import CLOSED_FORMS
 from statusindex.families import (
-    FAMILIES, MAX_EDGES, Family, above_cap, colex_subsets, edge_count, validate,
+    FAMILIES, MAX_EDGES, Family, above_cap, edge_count, validate,
 )
 
 from oracles import complement, oracle_profile, subset_graph_adjacency
@@ -275,9 +275,6 @@ class TestGenerationContracts:
         assert generate(FamilySpec.path(DEFAULT_MAX_VERTICES)).n == DEFAULT_MAX_VERTICES
         with pytest.raises(VertexCapError, match=r"^path\(n=20001\) has more vertices"):
             generate(FamilySpec.path(DEFAULT_MAX_VERTICES + 1))
-
-    def test_colex_subset_order(self):
-        assert colex_subsets(4, 2) == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
 
     def test_above_cap_matches_the_exact_order(self, swept):
         for spec, g in swept:

@@ -325,6 +325,14 @@ class TestParseEdgeList:
         with pytest.raises(ParseError, match=f"line {line}: duplicate edge"):
             parse_edge_list(text)
 
+    def test_two_repeated_edges_name_the_earlier_repeat(self):
+        # (0, 1) is the least repeated pair, but (1, 2) is repeated first
+        text = "0 1\n1 2\n2 3\n2 1\n1 0\n"
+        with pytest.raises(ParseError, match="^line 4: duplicate edge 2 1$"):
+            parse_edge_list(text)
+        with pytest.raises(ParseError, match="^line 4: duplicate edge 1 0$"):
+            parse_edge_list("0 1\n1 2\n2 3\n1 0\n2 1\n")
+
     def test_duplicate_far_from_its_edge_names_its_line(self):
         text = "".join(f"{i} {i + 1}\n" for i in range(10_000)) + "1 0\n"
         with pytest.raises(ParseError, match="^line 10001: duplicate edge 1 0$"):
@@ -495,6 +503,23 @@ class TestReadMemory:
             g, peak = traced_peak(_read_graph, f"/dev/fd/{cat.stdout.fileno()}")
         assert g == _read_graph(str(path))
         assert peak <= 1.6 * self.adjacency_size(g)
+
+    def test_naming_a_repeated_edge_adds_no_memory(self, dense_path, tmp_path):
+        # the lines are read again keeping only the repeated pairs, not
+        # every edge read before the repeat; 20,000 edges keep the traced
+        # second pass short
+        lines = Path(dense_path).read_text().splitlines(keepends=True)[:20_001]
+        clean, repeat = tmp_path / "clean.edges", tmp_path / "repeat.edges"
+        clean.write_text("".join(lines))
+        repeat.write_text("".join(lines) + lines[1])
+
+        def read():
+            with pytest.raises(ParseError, match="^line 20002: duplicate edge"):
+                _read_graph(str(repeat))
+
+        _, expected = traced_peak(_read_graph, str(clean))
+        _, peak = traced_peak(read)
+        assert peak <= expected
 
     def test_validation_peaks_below_half_the_adjacency(self, dense_path):
         g = _read_graph(dense_path)

@@ -39,12 +39,14 @@ CORPUS_SCHEDULES = {
 
 #: OEIS A000088 and A001349: the graphs and the connected graphs on n
 #: vertices, up to isomorphism.
-GRAPH_COUNTS = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
-CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+GRAPH_COUNTS = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 #: Of the connected graphs on n vertices: those whose complement is
 #: connected too, and those among them where both complement bounds hold
 #: with equality.
-COMPLEMENT_COUNTS = {2: (0, 0), 3: (0, 0), 4: (1, 0), 5: (8, 2), 6: (68, 16)}
+COMPLEMENT_COUNTS = {
+    2: (0, 0), 3: (0, 0), 4: (1, 0), 5: (8, 2), 6: (68, 16), 7: (662, 183),
+}
 
 def reference_corpus(count, seed, dense):
     ns, probs = CORPUS_SCHEDULES[dense]
@@ -67,7 +69,7 @@ def per_graph_report(count, seed, dense):
 
 
 def rows_by_index(report):
-    return {c.index_name: c for c in report.sorted_cases()}
+    return {c.index_name: c for c in report.cases}
 
 
 class TestErratumRegistry:
@@ -126,14 +128,14 @@ class TestVerifyFamily:
     def test_nanotorus_orientation_exchange_is_noted_not_failed(self):
         report = verify_family(FamilySpec.nanotorus(4, 2))
         assert report.ok
-        for row in report.sorted_cases():
+        for row in report.cases:
             assert row.match
             assert "parameter exchange" in row.note
 
     def test_nanotorus_direct_match_has_no_note(self):
         report = verify_family(FamilySpec.nanotorus(2, 4))
         assert report.ok
-        assert all(row.note == "" for row in report.sorted_cases())
+        assert all(row.note == "" for row in report.cases)
 
     def test_rejects_family_without_closed_forms(self):
         with pytest.raises(ValueError, match="no closed forms"):
@@ -164,7 +166,9 @@ class TestVerifyGrid:
     def test_as_printed_grid_fails_only_on_registered_errata(self, grid_as_printed):
         report = grid_as_printed
         assert report.ok
-        mismatches = {(c.case_id, c.index_name) for c in report.errata_cases()}
+        mismatches = {
+            (c.case_id, c.index_name) for c in report.cases if not c.match and c.registered_erratum
+        }
         families = {case.split("(")[0] for case, _ in mismatches}
         assert families == {"hypercube", "kneser"}
         indices = {index for _, index in mismatches}
@@ -219,7 +223,7 @@ class TestVerifyIdentities:
     def test_demo_graph_complement_is_disconnected_so_no_bound_rows(self):
         report = verify_identities(demo_graph())
         assert not any(
-            c.index_name.startswith("complement_bound") for c in report.sorted_cases()
+            c.index_name.startswith("complement_bound") for c in report.cases
         )
 
     def test_p4_bound_rows(self):
@@ -234,11 +238,11 @@ class TestVerifyIdentities:
     def test_large_diameter_graph_has_no_diam2_rows(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         report = verify_identities(g)
-        assert not any("diam2" in c.index_name for c in report.sorted_cases())
+        assert not any("diam2" in c.index_name for c in report.cases)
 
 
-    def test_every_connected_graph_on_two_to_six_vertices(self):
-        graphs = graphs_up_to(6)
+    def test_every_connected_graph_on_two_to_seven_vertices(self):
+        graphs = graphs_up_to(7)
         assert {n: len(graphs[n]) for n in GRAPH_COUNTS} == GRAPH_COUNTS
         complement_counts = {}
         for n in GRAPH_COUNTS:
@@ -372,7 +376,7 @@ class TestVerifyRandomSuite:
         assert report.ok
         assert report.summary()["hard_failures"] == 0
         identity_rows = [
-            c for c in report.sorted_cases() if c.index_name.startswith("identity.")
+            c for c in report.cases if c.index_name.startswith("identity.")
         ]
         assert len(identity_rows) == 60
 
@@ -389,7 +393,7 @@ class TestVerificationReport:
             "cases": 3, "passed": 1, "registered_errata": 1, "hard_failures": 1,
         }
         assert not report.ok
-        assert [c.case_id for c in report.hard_failures()] == ["a"]
+        assert [c.case_id for c in report.cases if c.hard_failure] == ["a"]
 
     def test_sorted_cases_order(self):
         cases = [
@@ -398,9 +402,18 @@ class TestVerificationReport:
             VerificationCase("a", "s1", 0, 0, "corrected", True),
         ]
         report = VerificationReport(cases=cases)
-        assert [(c.case_id, c.index_name) for c in report.sorted_cases()] == [
+        assert [(c.case_id, c.index_name) for c in report.cases] == [
             ("a", "s1"), ("a", "s2"), ("b", "s1"),
         ]
+
+    def test_reports_of_the_same_cases_are_equal_in_any_order(self):
+        a = VerificationCase("a", "s2", 1, 2, "corrected", False)
+        b = VerificationCase("a", "s1", 1, 1, "corrected", True)
+        ab, ba = VerificationReport([a, b]), VerificationReport([b, a])
+        assert ab == ba and hash(ab) == hash(ba)
+        assert ab.cases == ba.cases == (b, a)
+        rebuilt = pickle.loads(pickle.dumps(ab))
+        assert rebuilt == ab and rebuilt == ba
 
     def test_an_immutable_value_built_once(self, monkeypatch):
         cases = [
