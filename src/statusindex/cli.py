@@ -16,21 +16,23 @@ import sys
 from itertools import product
 from json.encoder import encode_basestring_ascii
 from math import comb, isqrt, prod
-from typing import Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Container, Iterator, Sequence
 
-from .closed_forms import CLOSED_FORMS, closed_forms_for
-from .families import FAMILIES, FamilySpec, FamilyError, above_cap, generate
-from .graph import DEFAULT_MAX_VERTICES, format_edge_list, parse_edge_list, transmission_profile
-from .indices import complement_bounds, compute_index_bundle
-from .verify import (
-    DEFAULT_COUNT,
-    DEFAULT_SEED,
-    VerificationReport,
-    default_grid,
-    verify_grid,
-    verify_identities,
-    verify_random_suite,
+from .graph import (
+    DEFAULT_MAX_VERTICES,
+    check_connected,
+    format_edge_list,
+    parse_edge_list,
+    transmission_profile,
 )
+
+if TYPE_CHECKING:
+    from .families import FamilySpec
+    from .verify import VerificationReport
+
+# A command imports the other modules it runs when it runs, so that each
+# loads and compiles only those: without a bytecode cache, compiling the
+# sources is much of a short command's time.
 
 _SAFE_INT = 2 ** 53 - 1
 
@@ -128,13 +130,62 @@ def _parse_range(text: str) -> range:
     return range(value, value + 1)
 
 
-#: Every family's parameter names, in the order they first appear in FAMILIES.
-_PARAM_FLAGS = tuple(dict.fromkeys(name for f in FAMILIES.values() for name in f.params))
+# The parameter flags, the --family choices and the random-corpus
+# defaults are written out, so that building the parser loads none of
+# families, closed_forms and verify; a test pins each to its table.
+
+#: Every family's parameter names, in the order they first appear in
+#: ``families.FAMILIES``.
+_PARAM_FLAGS = ("n", "p", "q", "k", "t")
+
+#: Size and first seed of a random corpus: ``verify.DEFAULT_COUNT`` and
+#: ``verify.DEFAULT_SEED``.
+DEFAULT_COUNT = 200
+DEFAULT_SEED = 1729
+
+
+class _Choices(tuple):
+    """The names a ``--family`` flag lists in its help and its errors.
+    ``in`` asks ``table()``, which loads the table only when the flag is
+    read, by the command that needs the table anyway; so a name in the
+    table is accepted even before it is listed here."""
+
+    def __new__(cls, names: Sequence[str], table: Callable[[], Container[str]]) -> _Choices:
+        choices = super().__new__(cls, names)
+        choices.table = table
+        return choices
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.table()
+
+
+def _families() -> Container[str]:
+    from .families import FAMILIES
+    return FAMILIES
+
+
+def _closed_form_families() -> Container[str]:
+    from .closed_forms import CLOSED_FORMS
+    return CLOSED_FORMS
+
+
+_FAMILY_CHOICES = _Choices(
+    ("complete", "cycle", "hypercube", "intersection", "kneser", "nanotorus", "path"),
+    _families,
+)
+_CLOSED_FORM_CHOICES = _Choices(
+    ("hypercube", "intersection", "kneser", "nanotorus"), _closed_form_families
+)
+_VERIFY_CHOICES = _Choices(
+    (*_CLOSED_FORM_CHOICES, "random"), lambda: (*_closed_form_families(), "random")
+)
 
 
 def _family_params(args: argparse.Namespace, read: Callable[[str], Any]) -> list[Any]:
     """The family's parameters, each read by ``read`` in declaration
     order, after rejecting any parameter flag the family does not take."""
+    from .families import FAMILIES, FamilyError
+
     names = FAMILIES[args.family].params
     for name in _PARAM_FLAGS:
         if name not in names and getattr(args, name, None) is not None:
@@ -152,6 +203,8 @@ def _family_params(args: argparse.Namespace, read: Callable[[str], Any]) -> list
 
 
 def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
+    from .families import FamilySpec
+
     return FamilySpec(args.family, tuple(_family_params(args, _integer)))
 
 
@@ -160,6 +213,8 @@ def _specs_from_ranges(family: str, ranges: Sequence[range],
     """The specs of the ranges' Cartesian product, one at a time. An
     invalid combination is appended to ``skipped`` (reported, not fatal)
     so a sweep can pass constraint boundaries, unless it is the only one."""
+    from .families import FamilyError, FamilySpec
+
     single = all(len(values) == 1 for values in ranges)
     for combo in product(*ranges):
         try:
@@ -185,7 +240,10 @@ _BOUNDS_KEYS = (
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
+    from .indices import compute_index_bundle
+
     g = _read_graph(args.path)
+    check_connected(g)
     tp = transmission_profile(g)
     payload = {
         "n": g.n,
@@ -200,6 +258,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .families import generate
+
     g = generate(_spec_from_args(args))
     text = format_edge_list(g)
     if args.output:
@@ -230,6 +290,9 @@ def _largest_order(limit: int) -> int:
 
 
 def cmd_closed_form(args: argparse.Namespace) -> int:
+    from .closed_forms import closed_forms_for
+    from .families import above_cap
+
     spec = _spec_from_args(args)
     # Every report writes the corrected s2 and s2_co, so an order whose
     # bound on them is too long to write as text fails the command anyway:
@@ -342,6 +405,9 @@ def _print_report(report: VerificationReport, args: argparse.Namespace,
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .families import FamilyError
+    from .verify import default_grid, verify_grid, verify_random_suite
+
     mode = args.mode.replace("-", "_")
     given_params = [
         name for name in _PARAM_FLAGS if getattr(args, name, None) is not None
@@ -384,13 +450,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    from .indices import complement_bounds
+
     g = _read_graph(args.path)
     _print_payload(complement_bounds(g)._asdict(), args, _BOUNDS_KEYS)
     return 0
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
+    from .verify import verify_identities
+
     g = _read_graph(args.path)
+    check_connected(g)
     report = verify_identities(g, case_id=args.path)
     return _print_report(report, args)
 
@@ -421,13 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.set_defaults(func=cmd_compute)
 
     p_generate = sub.add_parser("generate", help="write a family graph as an edge list")
-    p_generate.add_argument("--family", required=True, choices=sorted(FAMILIES))
+    p_generate.add_argument("--family", required=True, choices=_FAMILY_CHOICES)
     _add_family_arguments(p_generate, ranged=False)
     p_generate.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     p_generate.set_defaults(func=cmd_generate)
 
     p_closed = sub.add_parser("closed-form", help="evaluate a family's closed-form indices")
-    p_closed.add_argument("--family", required=True, choices=sorted(CLOSED_FORMS))
+    p_closed.add_argument("--family", required=True, choices=_CLOSED_FORM_CHOICES)
     _add_family_arguments(p_closed, ranged=False)
     p_closed.add_argument("--json", action="store_true")
     p_closed.set_defaults(func=cmd_closed_form)
@@ -437,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check closed forms against brute force (default: the full grid)",
     )
     p_verify.add_argument(
-        "--family", default=None, choices=sorted(CLOSED_FORMS) + ["random"],
+        "--family", default=None, choices=_VERIFY_CHOICES,
     )
     _add_family_arguments(p_verify, ranged=True)
     p_verify.add_argument("--mode", default="corrected", choices=["corrected", "as-printed"])

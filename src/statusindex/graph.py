@@ -41,6 +41,9 @@ class DisconnectedGraphError(GraphError):
     """A computation that needs a connected graph got a disconnected one."""
 
 
+_DISCONNECTED = "graph is disconnected; indices need a connected graph"
+
+
 class Value:
     """Base of the immutable values. ``_fields`` names the ``__init__``
     arguments; ``__init__`` stores them with ``object.__setattr__``, since
@@ -378,9 +381,7 @@ def profile_from_rows(rows: Sequence[Iterable[int]]) -> TransmissionProfile:
                     sigma[v] += level * new.bit_count()
                     nxt[v] = new
             if not any(nxt):
-                raise DisconnectedGraphError(
-                    "graph is disconnected; indices need a connected graph"
-                )
+                raise DisconnectedGraphError(_DISCONNECTED)
             frontier = nxt
         diameter = max(diameter, level)
     # each distance is counted from both ends
@@ -389,6 +390,23 @@ def profile_from_rows(rows: Sequence[Iterable[int]]) -> TransmissionProfile:
     return TransmissionProfile(
         sigma=tuple(sigma), wiener=wiener, diameter=diameter, regular_k=regular_k
     )
+
+
+def check_connected(g: Graph) -> None:
+    """Raise DisconnectedGraphError unless every vertex of ``g`` is
+    reachable from vertex 0: one depth-first search, which stops as soon
+    as every vertex is seen. It costs O(n + m) at most, where the engine
+    would run as many levels as the widest component needs before it
+    finds that a source never reaches the rest."""
+    rows, n = g.adjacency, g.n
+    seen = {0}
+    stack = [0]
+    while stack and len(seen) < n:
+        new = set(rows[stack.pop()]).difference(seen)
+        seen |= new
+        stack += new
+    if len(seen) < n:
+        raise DisconnectedGraphError(_DISCONNECTED)
 
 
 def transmission_profile(g: Graph) -> TransmissionProfile:

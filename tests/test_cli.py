@@ -22,7 +22,7 @@ from statusindex import (
     default_grid,
     verify_random_suite,
 )
-from statusindex import cli, indices, verify
+from statusindex import cli, closed_forms, graph, indices, verify
 from statusindex.cli import main
 from statusindex.families import FAMILIES
 
@@ -114,6 +114,21 @@ class TestCompute:
         assert code == 2
         assert "connected" in err
 
+    @pytest.mark.parametrize("command", ("compute", "identities"))
+    def test_disconnected_exits_2_before_the_engine(self, capsys, tmp_path, monkeypatch,
+                                                   command):
+        # two disjoint 1000-cycles: the engine would run 500 levels first
+        def unreachable(rows):
+            raise AssertionError("distances computed")
+
+        path = tmp_path / "two-cycles.edges"
+        path.write_text("".join(f"{u} {(u + 1) % 1000}\n{u + 1000} {(u + 1) % 1000 + 1000}\n"
+                                for u in range(1000)))
+        monkeypatch.setattr(graph, "profile_from_rows", unreachable)
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: graph is disconnected; indices need a connected graph\n"
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "compute", str(tmp_path / "absent.edges"))
         assert code == 2
@@ -177,7 +192,7 @@ class TestCompute:
         def broken(g, tp):
             raise ArithmeticError("total transmission must be even")
 
-        monkeypatch.setattr(cli, "compute_index_bundle", broken)
+        monkeypatch.setattr(indices, "compute_index_bundle", broken)
         code, out, err = run(capsys, "compute", str(demo5_path))
         assert code == 3
         assert out == ""
@@ -190,7 +205,7 @@ class TestCompute:
         def exhausted(g, tp):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "compute_index_bundle", exhausted)
+        monkeypatch.setattr(indices, "compute_index_bundle", exhausted)
         monkeypatch.setitem(sys.modules, "traceback", None)
         code, out, err = run(capsys, "compute", str(demo5_path))
         assert (code, out) == (3, "")
@@ -366,7 +381,7 @@ class TestClosedForm:
         def evaluated(spec):
             raise AssertionError(f"closed forms evaluated for {spec.label()}")
 
-        monkeypatch.setattr(cli, "closed_forms_for", evaluated)
+        monkeypatch.setattr(closed_forms, "closed_forms_for", evaluated)
         code, out, err = run(capsys, "closed-form", "--family", *family)
         assert code == 2
         assert out == ""
@@ -485,7 +500,7 @@ class TestVerify:
         def drawn(**kwargs):
             raise AssertionError("the corpus was drawn")
 
-        monkeypatch.setattr(cli, "verify_random_suite", drawn)
+        monkeypatch.setattr(verify, "verify_random_suite", drawn)
         code, out, err = run(capsys, "verify", "--family", "random", "--count", "20002")
         assert (code, out, err) == (2, "", "error: --count 20002 is more than 20001\n")
 
@@ -682,6 +697,17 @@ class TestBounds:
         assert (result.returncode, result.stdout) == (2, ""), result.stderr
         assert result.stderr == ("error: the complement has 199970000 edges, "
                                  "more than the cap of 2000000\n")
+
+    def test_disconnected_graph_with_a_connected_complement(self, capsys, tmp_path):
+        # two disjoint edges: the complement is the 4-cycle
+        path = tmp_path / "2k2.edges"
+        path.write_text("0 1\n2 3\n")
+        code, out, _ = run(capsys, "bounds", str(path), "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "s1_lower": 32, "s2_lower": 64, "s1_actual": 32, "s2_actual": 64,
+            "equality": True, "complement_diameter": 2,
+        }
 
     def test_disconnected_complement_exits_2(self, capsys, tmp_path):
         path = tmp_path / "k4.edges"

@@ -623,6 +623,29 @@ class TestTransmissionProfile:
             with pytest.raises(DisconnectedGraphError):
                 transmission_profile(g)
 
+    @settings(max_examples=60, deadline=None)
+    @given(parts=st.lists(random_graphs(max_n=12), min_size=1, max_size=3), data=st.data())
+    def test_connectivity_check_agrees_with_the_engine(self, parts, data):
+        edges, offset = [], 0
+        for part in parts:
+            edges += [(u + offset, v + offset) for u, v in part.edges()]
+            offset += part.n
+        label = data.draw(st.permutations(range(offset)))  # vertex 0 in any part
+        g = Graph.from_edges(offset, [(label[u], label[v]) for u, v in edges])
+        if len(parts) == 1:
+            graph_module.check_connected(g)
+            return
+        with pytest.raises(DisconnectedGraphError) as engine:
+            transmission_profile(g)
+        with pytest.raises(DisconnectedGraphError) as check:
+            graph_module.check_connected(g)
+        assert str(check.value) == str(engine.value)
+
+    def test_connectivity_check_on_edgeless_graphs(self):
+        graph_module.check_connected(Graph(1, ((),)))
+        with pytest.raises(DisconnectedGraphError):
+            graph_module.check_connected(Graph(2, ((), ())))
+
     def test_block_size_does_not_change_result(self, monkeypatch):
         g = random_connected_graph(40, 0.1, seed=5)
         whole = transmission_profile(g)
