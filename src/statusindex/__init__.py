@@ -23,11 +23,9 @@ _EXPORTS = {
         "ClosedFormReport", "FormulaValue", "closed_forms_for", "hypercube_closed_forms",
         "intersection_closed_forms", "kneser_closed_forms", "nanotorus_closed_forms",
     ),
-    "families": (
-        "DEFAULT_MAX_VERTICES", "FamilyError", "FamilySpec", "VertexCapError", "generate",
-    ),
+    "families": ("FamilyError", "FamilySpec", "VertexCapError", "generate"),
     "graph": (
-        "DisconnectedGraphError", "Graph", "GraphError", "ParseError",
+        "DEFAULT_MAX_VERTICES", "DisconnectedGraphError", "Graph", "GraphError", "ParseError",
         "TransmissionProfile", "format_edge_list", "parse_edge_list",
         "transmission_profile",
     ),

@@ -16,7 +16,7 @@ import sys
 from itertools import product
 from json.encoder import encode_basestring_ascii
 from math import comb, isqrt, prod
-from typing import TYPE_CHECKING, Any, Callable, Container, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from .graph import (
     DEFAULT_MAX_VERTICES,
@@ -138,47 +138,16 @@ def _parse_range(text: str) -> range:
 #: ``families.FAMILIES``.
 _PARAM_FLAGS = ("n", "p", "q", "k", "t")
 
+#: The ``--family`` names argparse accepts: the sorted keys of
+#: ``families.FAMILIES`` and of ``closed_forms.CLOSED_FORMS``.
+_FAMILY_CHOICES = ("complete", "cycle", "hypercube", "intersection", "kneser", "nanotorus", "path")
+_CLOSED_FORM_CHOICES = ("hypercube", "intersection", "kneser", "nanotorus")
+_VERIFY_CHOICES = (*_CLOSED_FORM_CHOICES, "random")
+
 #: Size and first seed of a random corpus: ``verify.DEFAULT_COUNT`` and
 #: ``verify.DEFAULT_SEED``.
 DEFAULT_COUNT = 200
 DEFAULT_SEED = 1729
-
-
-class _Choices(tuple):
-    """The names a ``--family`` flag lists in its help and its errors.
-    ``in`` asks ``table()``, which loads the table only when the flag is
-    read, by the command that needs the table anyway; so a name in the
-    table is accepted even before it is listed here."""
-
-    def __new__(cls, names: Sequence[str], table: Callable[[], Container[str]]) -> _Choices:
-        choices = super().__new__(cls, names)
-        choices.table = table
-        return choices
-
-    def __contains__(self, name: object) -> bool:
-        return name in self.table()
-
-
-def _families() -> Container[str]:
-    from .families import FAMILIES
-    return FAMILIES
-
-
-def _closed_form_families() -> Container[str]:
-    from .closed_forms import CLOSED_FORMS
-    return CLOSED_FORMS
-
-
-_FAMILY_CHOICES = _Choices(
-    ("complete", "cycle", "hypercube", "intersection", "kneser", "nanotorus", "path"),
-    _families,
-)
-_CLOSED_FORM_CHOICES = _Choices(
-    ("hypercube", "intersection", "kneser", "nanotorus"), _closed_form_families
-)
-_VERIFY_CHOICES = _Choices(
-    (*_CLOSED_FORM_CHOICES, "random"), lambda: (*_closed_form_families(), "random")
-)
 
 
 def _family_params(args: argparse.Namespace, read: Callable[[str], Any]) -> list[Any]:

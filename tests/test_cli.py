@@ -520,9 +520,34 @@ class TestVerify:
         assert err == f"error: {flags[0]} applies to --family random only\n"
 
     def test_random_suite_rejects_as_printed(self, capsys):
-        code, _, err = run(capsys, "verify", "--family", "random",
-                           "--count", "5", "--mode", "as-printed")
-        assert code == 2
+        code, out, err = run(capsys, "verify", "--family", "random",
+                             "--count", "5", "--mode", "as-printed")
+        assert (code, out) == (2, "")
+        assert err == "error: as-printed mode applies to closed-form families only\n"
+
+    @pytest.mark.parametrize("argv, message", (
+        (("--family", "hypercube", "--n", "5..3"), "empty range '5..3'"),
+        (("--family", "random", "--n", "3"),
+         "--family random takes --count/--seed/--dense, not --n"),
+        (("--n", "3"), "--n given without --family; pick a family to sweep"),
+    ), ids=("empty-range", "random-with-n", "n-without-family"))
+    def test_misplaced_arguments_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_hard_failure_is_printed_and_exits_1(self, capsys, monkeypatch):
+        def off_by_one(spec):
+            report = closed_forms_for(spec)
+            return report._replace(wiener=report.wiener + 1)
+
+        monkeypatch.setattr(verify, "closed_forms_for", off_by_one)
+        code, out, _ = run(capsys, "verify", "--family", "hypercube", "--n", "2")
+        assert code == 1
+        lines = out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL    hypercube(n=2) wiener: 9 vs oracle 8"
+        ]
+        assert lines[-1] == "summary: 6 cases, 5 passed, 0 registered errata, 1 hard failures"
 
 
     @pytest.mark.parametrize("value", NON_ASCII_INTEGERS)

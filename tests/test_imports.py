@@ -95,12 +95,25 @@ def test_generate_loads_graph_and_families_only(tmp_path):
                                   "statusindex.graph"]
 
 
-def test_verify_loads_every_module():
+def test_closed_form_loads_the_tables_and_indices():
     code = ("from statusindex.cli import main\n"
-            "assert main(['verify', '--family', 'random', '--count', '1']) == 0")
-    assert loaded_after(code) == ["random", "statusindex.cli", "statusindex.closed_forms",
+            "assert main(['closed-form', '--family', 'hypercube', '--n', '3']) == 0")
+    assert loaded_after(code) == ["statusindex.cli", "statusindex.closed_forms",
                                   "statusindex.families", "statusindex.graph",
-                                  "statusindex.indices", "statusindex.verify"]
+                                  "statusindex.indices"]
+
+
+def test_verify_loads_every_module(c5_path):
+    for argv in (["verify", "--family", "random", "--count", "1"], ["identities", str(c5_path)]):
+        code = f"from statusindex.cli import main\nassert main({argv!r}) == 0"
+        assert loaded_after(code) == ["random", "statusindex.cli", "statusindex.closed_forms",
+                                      "statusindex.families", "statusindex.graph",
+                                      "statusindex.indices", "statusindex.verify"], argv
+
+
+def test_a_graph_constant_loads_graph_only():
+    code = "import statusindex\nstatusindex.DEFAULT_MAX_VERTICES"
+    assert loaded_after(code) == ["statusindex.graph"]
 
 
 def test_written_out_choices_and_defaults_are_the_tables():
