@@ -77,9 +77,9 @@ def intersection_closed_forms(p: int, t: int) -> ClosedFormReport:
     """
     spec = FamilySpec.intersection(p, t)
     n = comb(p, t)
-    m = edge_count(spec)
     disjoint = comb(p - t, t)
     degree = n - disjoint - 1
+    m = exact_div(n * degree, 2, "intersection edge count n*degree/2")
     k = n + disjoint - 1
     printed = {
         "s1": n * (n - disjoint - 1) * (n + disjoint - 1),
@@ -130,7 +130,7 @@ def kneser_closed_forms(p: int, k: int) -> ClosedFormReport:
     spec = FamilySpec.kneser(p, k)
     n = comb(p, k)
     degree = comb(p - k, k)
-    m = edge_count(spec)
+    m = exact_div(n * degree, 2, "kneser edge count n*degree/2")
     sigma = sum(comb(k, s) * comb(p - k, k - s) * kneser_distance(p, k, s) for s in range(k))
     wiener = exact_div(n * sigma, 2, "kneser Wiener index C(p,k)*sigma/2")
     s2 = degree * exact_div(2 * wiener * wiener, n, "kneser 2W^2/C(p,k)")

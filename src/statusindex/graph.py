@@ -349,40 +349,51 @@ def profile_from_rows(rows: Sequence[Iterable[int]]) -> TransmissionProfile:
     """Transmission profile of the graph whose vertex ``v`` has the
     neighbours ``rows[v]``; the rows must be symmetric and loop-free.
 
-    Multi-source BFS over bitsets of sources: ``frontier[v]`` holds the
-    sources at distance ``level`` from ``v`` and ``unreached[v]`` those
-    farther away, so each level ORs the neighbours' frontiers, keeps the
-    unreached bits and adds ``level`` per new bit to ``sigma[v]``. The
-    last level is the diameter; an empty level that leaves sources
-    unreached means the graph is disconnected. Sources run in blocks of
-    SOURCE_BLOCK to bound the bitset sizes.
+    Multi-source BFS over bitsets of sources, one bit per source.
+    ``unreached[v]`` holds the sources farther than ``level`` from
+    ``v``. A source is farther than L from ``v`` exactly when it is
+    farther than L - 1 from ``v`` and from every neighbour of ``v``, so
+    each level ANDs the neighbours' sets into a copy of ``v``'s own. The
+    AND stops at the first empty result, and a vertex whose set is
+    already empty is skipped. A distance d counts once at each level
+    below d, so ``sigma[v]`` is the sum over the levels of the popcount
+    of ``unreached[v]``; level 0 gives every vertex n - 1. The diameter
+    is the first level that leaves no source unreached; a level that
+    reaches no new pair means the graph is disconnected. Sources run in
+    blocks of SOURCE_BLOCK to bound the bitset sizes.
     """
     n = len(rows)
-    sigma = [0] * n
+    sigma = [n - 1] * n
     diameter = 0
     for lo in range(0, n, SOURCE_BLOCK):
         hi = min(lo + SOURCE_BLOCK, n)
-        frontier = [0] * n
-        for s in range(lo, hi):
-            frontier[s] = 1 << (s - lo)
         block = (1 << (hi - lo)) - 1
-        unreached = [block ^ f for f in frontier]
+        unreached = [block] * n
+        for s in range(lo, hi):
+            unreached[s] = block ^ (1 << (s - lo))
+        left = (n - 1) * (hi - lo)  # pairs still unreached
         level = 0
-        while any(unreached):
+        while left:
             level += 1
             nxt = [0] * n
+            total = 0
             for v, row in enumerate(rows):
-                new = 0
+                bits = unreached[v]
+                if not bits:
+                    continue
                 for u in row:
-                    new |= frontier[u]
-                new &= unreached[v]
-                if new:
-                    unreached[v] ^= new
-                    sigma[v] += level * new.bit_count()
-                    nxt[v] = new
-            if not any(nxt):
+                    bits &= unreached[u]
+                    if not bits:
+                        break
+                else:
+                    nxt[v] = bits
+                    count = bits.bit_count()
+                    sigma[v] += count
+                    total += count
+            if total == left:
                 raise DisconnectedGraphError(_DISCONNECTED)
-            frontier = nxt
+            left = total
+            unreached = nxt
         diameter = max(diameter, level)
     # each distance is counted from both ends
     wiener = exact_div(sum(sigma), 2, "half the total transmission")

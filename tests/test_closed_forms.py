@@ -21,6 +21,7 @@ from statusindex import (
     transmission_profile,
 )
 from statusindex.closed_forms import kneser_distance
+from statusindex.families import edge_count
 
 from oracles import fw_distances, oracle_indices, oracle_profile, subset_graph_adjacency
 
@@ -246,6 +247,16 @@ def test_corrected_closed_forms_satisfy_identities():
         non_edges, k = comb(report.n, 2) - report.m, report.sigma
         assert report.indices["s1_co"].corrected == non_edges * 2 * k, spec.label()
         assert report.indices["s2_co"].corrected == non_edges * k * k, spec.label()
+
+
+def test_subset_family_edge_counts_match_the_family_table():
+    # the closed forms halve n * degree; the family table multiplies the
+    # binomials, so the two agree only if both are right, past the caps too
+    specs = [FamilySpec.intersection(p, t) for p in range(3, 60) for t in range(2, p)]
+    specs += [FamilySpec.kneser(p, 1) for p in range(2, 60)]
+    specs += [FamilySpec.kneser(p, k) for p in range(5, 60) for k in range(2, (p + 1) // 2)]
+    for spec in specs:
+        assert closed_forms_for(spec).m == edge_count(spec), spec.label()
 
 
 # every connected Kneser graph small enough for Floyd-Warshall, and the

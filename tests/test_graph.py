@@ -646,6 +646,52 @@ class TestTransmissionProfile:
         with pytest.raises(DisconnectedGraphError):
             graph_module.check_connected(Graph(2, ((), ())))
 
+    # Exact closed forms, no Floyd-Warshall: vertices finish at different
+    # levels, diameters run long, and a block of 7 sources puts block
+    # boundaries inside each graph.
+    @pytest.fixture(params=[7, graph_module.SOURCE_BLOCK])
+    def source_block(self, request, monkeypatch):
+        monkeypatch.setattr(graph_module, "SOURCE_BLOCK", request.param)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 29, 150])
+    def test_path_closed_form(self, source_block, n):
+        tp = transmission_profile(Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)]))
+        assert tp.sigma == tuple((i * (i + 1) + (n - 1 - i) * (n - i)) // 2 for i in range(n))
+        assert tp.diameter == n - 1
+        assert tp.wiener == n * (n - 1) * (n + 1) // 6
+
+    @pytest.mark.parametrize("n", [3, 8, 29, 150])
+    def test_star_closed_form(self, source_block, n):
+        centre = n // 2
+        g = Graph.from_edges(n, [(centre, v) for v in range(n) if v != centre])
+        tp = transmission_profile(g)
+        assert tp.sigma == tuple(n - 1 if v == centre else 2 * n - 3 for v in range(n))
+        assert tp.diameter == 2
+        assert tp.regular_k is None
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 29, 150])
+    def test_cycle_closed_form(self, source_block, n):
+        tp = transmission_profile(Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
+        assert tp.sigma == (n * n // 4,) * n
+        assert tp.diameter == n // 2
+        assert tp.regular_k == n * n // 4
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 29])
+    def test_complete_closed_form(self, source_block, n):
+        tp = transmission_profile(
+            Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        )
+        assert tp.sigma == (n - 1,) * n
+        assert tp.diameter == min(n - 1, 1)
+        assert tp.regular_k == n - 1
+
+    @pytest.mark.parametrize("isolated", [0, 30])
+    def test_isolated_vertex_beside_a_path_rejected(self, source_block, isolated):
+        path = [v for v in range(31) if v != isolated]
+        g = Graph.from_edges(31, zip(path, path[1:]))
+        with pytest.raises(DisconnectedGraphError):
+            transmission_profile(g)
+
     def test_block_size_does_not_change_result(self, monkeypatch):
         g = random_connected_graph(40, 0.1, seed=5)
         whole = transmission_profile(g)
