@@ -1,26 +1,42 @@
 #!/usr/bin/env python3
-"""Record one benchmark run of every workload as ``BENCH_<label>.json``.
+"""Record benchmark runs of every workload as ``BENCH_<label>.json``.
 
 Usage, from anywhere in a source checkout:
 
     python3 scripts/record_bench.py --label after-streaming-json --seed 1 --seconds 28
+    python3 scripts/record_bench.py --label my-change --seed 1 --parent ../parent-checkout
 
 Runs ``perfbench/run.py --trace 0`` once per workload named in
 ``BENCHMARK.json``, one after another, and writes each workload's
 ``metrics``, ``attempted``, ``failed`` and ``env`` line to
-``BENCH_<label>.json`` at the repository root. Exits 1 if a run fails
-or reports a failed operation; the file is written either way.
+``BENCH_<label>.json`` at the repository root.
+
+With ``--parent``, another source checkout (the commit a change is
+measured against), each workload instead runs PAIRS pairs, one run of
+this checkout ("change") and one of the parent in each, on the seeds
+``seed .. seed + PAIRS - 1``. Each side runs its own ``perfbench/run.py``
+with the same arguments, and the change runs first on odd seeds. The
+file then holds every run of both sides and, per end-to-end metric of
+``BENCHMARK.json``, each side's median and quartiles and the number of
+pairs the change won (ties count for neither side).
+
+Exits 1 if a run fails or reports a failed operation; the file is
+written either way.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: Pairs of runs per workload with ``--parent``.
+PAIRS = 5
 
 
 def parse_run_output(stdout: str) -> dict:
@@ -47,31 +63,91 @@ def workload_names(root: Path = ROOT) -> list[str]:
     return [workload["name"] for workload in spec["workloads"]]
 
 
+def end_to_end(root: Path = ROOT) -> dict[str, str]:
+    """Each end-to-end metric of ``BENCHMARK.json`` with its better
+    direction, ``"lower"`` or ``"higher"``."""
+    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+
+
+def run_once(checkout: Path, name: str, seed: int, seconds: float) -> dict:
+    """One untraced ``run.py`` run in ``checkout``: its parsed output, or
+    ``{"error": ...}`` when it exits non-zero."""
+    command = [sys.executable, "perfbench/run.py", "--workload", name,
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=False)
+    if done.returncode != 0:
+        print(done.stderr, file=sys.stderr)
+        return {"error": f"exit {done.returncode}"}
+    return parse_run_output(done.stdout)
+
+
+def healthy(entry: dict) -> bool:
+    return "error" not in entry and entry["failed"] == 0
+
+
+def quartiles(values: list[float]) -> dict:
+    """Median and quartiles, cut as ``statistics.quantiles(values, n=4)``."""
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarise_pairs(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric in ``better``, over the pairs in which both sides
+    reported it: each side's values, median and quartiles, and
+    ``change_won``, the number of those pairs the change won."""
+    summary = {}
+    for name, direction in better.items():
+        values = [(pair["change"]["metrics"][name]["value"], pair["parent"]["metrics"][name]["value"])
+                  for pair in pairs
+                  if name in pair["change"].get("metrics", {})
+                  and name in pair["parent"].get("metrics", {})]
+        if not values:
+            continue
+        change, parent = (list(side) for side in zip(*values))
+        won = sum(c < p if direction == "lower" else c > p for c, p in values)
+        summary[name] = {
+            "better": direction, "pairs": len(values), "change_won": won,
+            "change": {**quartiles(change), "values": change},
+            "parent": {**quartiles(parent), "values": parent},
+        }
+    return summary
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True,
                         help="file label: letters, digits, '.', '_' and '-'")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=28.0)
+    parser.add_argument("--parent", type=Path, default=None,
+                        help=f"source checkout to run against: {PAIRS} alternating pairs a workload")
     args = parser.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9._-]+", args.label):
         parser.error(f"label {args.label!r} is not a plain file-name part")
+    if args.parent is not None and not (args.parent / "perfbench" / "run.py").is_file():
+        parser.error(f"parent {str(args.parent)!r} has no perfbench/run.py")
 
     record: dict = {"label": args.label, "workloads": {}}
     ok = True
     for name in workload_names():
-        command = [sys.executable, "perfbench/run.py", "--workload", name,
-                   "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
-        print(f"running {name} ...", file=sys.stderr, flush=True)
-        done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, check=False)
-        if done.returncode != 0:
-            print(done.stderr, file=sys.stderr)
-            record["workloads"][name] = {"error": f"exit {done.returncode}"}
-            ok = False
+        if args.parent is None:
+            print(f"running {name} ...", file=sys.stderr, flush=True)
+            entry = run_once(ROOT, name, args.seed, args.seconds)
+            record["workloads"][name] = entry
+            ok = ok and healthy(entry)
             continue
-        entry = parse_run_output(done.stdout)
-        record["workloads"][name] = entry
-        ok = ok and entry["failed"] == 0
+        checkouts = {"change": ROOT, "parent": args.parent.resolve()}
+        pairs = []
+        for seed in range(args.seed, args.seed + PAIRS):
+            order = ("change", "parent") if seed % 2 else ("parent", "change")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                print(f"running {name} seed {seed} ({side}) ...", file=sys.stderr, flush=True)
+                pair[side] = run_once(checkouts[side], name, seed, args.seconds)
+                ok = ok and healthy(pair[side])
+            pairs.append(pair)
+        record["workloads"][name] = {"pairs": pairs, "summary": summarise_pairs(pairs, end_to_end())}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(path)

@@ -345,7 +345,7 @@ def complement_rows(g: Graph) -> list[list[int]]:
     return [sorted(vertices.difference(row, (u,))) for u, row in enumerate(g.adjacency)]
 
 
-def profile_from_rows(rows: Sequence[Iterable[int]]) -> TransmissionProfile:
+def profile_from_rows(rows: Sequence[Sequence[int]]) -> TransmissionProfile:
     """Transmission profile of the graph whose vertex ``v`` has the
     neighbours ``rows[v]``; the rows must be symmetric and loop-free.
 
@@ -353,13 +353,18 @@ def profile_from_rows(rows: Sequence[Iterable[int]]) -> TransmissionProfile:
     ``unreached[v]`` holds the sources farther than ``level`` from
     ``v``. A source is farther than L from ``v`` exactly when it is
     farther than L - 1 from ``v`` and from every neighbour of ``v``, so
-    each level ANDs the neighbours' sets into a copy of ``v``'s own. The
-    AND stops at the first empty result, and a vertex whose set is
-    already empty is skipped. A distance d counts once at each level
-    below d, so ``sigma[v]`` is the sum over the levels of the popcount
-    of ``unreached[v]``; level 0 gives every vertex n - 1. The diameter
-    is the first level that leaves no source unreached; a level that
-    reaches no new pair means the graph is disconnected. Sources run in
+    levels 1 and 2 AND the neighbours' sets into a copy of ``v``'s own.
+    From level 2 on ``v``'s own set adds nothing: ``v`` is in no
+    neighbour's set, and any other source farther than L - 1 from every
+    neighbour is farther than L from ``v``. So after level 2 each
+    unfinished vertex keeps its row split into its first neighbour and
+    the rest, and later levels visit only those vertices and AND only
+    their neighbours' sets. Every AND stops at the first empty result,
+    and a finished vertex is dropped. A distance d counts once at each
+    level below d, so ``sigma[v]`` is the sum over the levels of the
+    popcount of ``unreached[v]``; level 0 gives every vertex n - 1. The
+    diameter is the first level that leaves no source unreached; a level
+    that changes no set means the graph is disconnected. Sources run in
     blocks of SOURCE_BLOCK to bound the bitset sizes.
     """
     n = len(rows)
@@ -373,7 +378,7 @@ def profile_from_rows(rows: Sequence[Iterable[int]]) -> TransmissionProfile:
             unreached[s] = block ^ (1 << (s - lo))
         left = (n - 1) * (hi - lo)  # pairs still unreached
         level = 0
-        while left:
+        while left and level < 2:
             level += 1
             nxt = [0] * n
             total = 0
@@ -394,6 +399,36 @@ def profile_from_rows(rows: Sequence[Iterable[int]]) -> TransmissionProfile:
                 raise DisconnectedGraphError(_DISCONNECTED)
             left = total
             unreached = nxt
+        # Rows are split only here, so a graph of diameter at most 2
+        # never copies one. An unfinished vertex without neighbours is
+        # an isolated vertex beside others.
+        active = []
+        if left:
+            for v, bits in enumerate(unreached):
+                if bits:
+                    row = rows[v]
+                    if not row:
+                        raise DisconnectedGraphError(_DISCONNECTED)
+                    active.append((v, row[0], row[1:]))
+        while active:
+            level += 1
+            nxt = [0] * n
+            still = []
+            for item in active:
+                v, head, tail = item
+                bits = unreached[head]
+                for u in tail:
+                    bits &= unreached[u]
+                    if not bits:
+                        break
+                if bits:
+                    nxt[v] = bits
+                    sigma[v] += bits.bit_count()
+                    still.append(item)
+            if nxt == unreached:
+                raise DisconnectedGraphError(_DISCONNECTED)
+            unreached = nxt
+            active = still
         diameter = max(diameter, level)
     # each distance is counted from both ends
     wiener = exact_div(sum(sigma), 2, "half the total transmission")

@@ -106,6 +106,26 @@ def random_graphs(max_n=10):
     )
 
 
+@st.composite
+def long_graphs(draw, max_n=60):
+    """Strategy: connected graphs of long diameter. Each vertex v >= 1
+    joins one of v - 3 .. v - 1, and up to 4 chords join random pairs."""
+    n = draw(st.integers(2, max_n))
+    edges = {(draw(st.integers(max(0, v - 3), v - 1)), v) for v in range(1, n)}
+    vertex = st.integers(0, n - 1)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=4)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(n, edges)
+
+
+def lollipop(clique, tail):
+    """K_clique with a path of ``tail`` vertices hung from clique vertex 0."""
+    edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
+    edges += [(0, clique)] + [(v, v + 1) for v in range(clique, clique + tail - 1)]
+    return Graph.from_edges(clique + tail, edges)
+
+
 class TestGraphValidation:
     def test_from_edges_builds_sorted_adjacency(self):
         g = Graph.from_edges(3, [(2, 0), (0, 1)])
@@ -607,6 +627,40 @@ class TestTransmissionProfile:
             mp.setattr(graph_module, "SOURCE_BLOCK", block)
             tp = transmission_profile(g)
         assert (list(tp.sigma), tp.wiener, tp.diameter) == oracle_profile(g.adjacency)
+
+    # Past level 2 the engine runs only the unfinished vertices, on their
+    # split rows; random_graphs rarely gets there, these graphs do.
+    @pytest.mark.parametrize("block", [3, graph_module.SOURCE_BLOCK])
+    @settings(max_examples=60, deadline=None)
+    @given(g=long_graphs())
+    def test_long_diameter_engine_matches_floyd_warshall(self, block, g):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "SOURCE_BLOCK", block)
+            tp = transmission_profile(g)
+        assert (list(tp.sigma), tp.wiener, tp.diameter) == oracle_profile(g.adjacency)
+
+    @pytest.mark.parametrize("block", [7, graph_module.SOURCE_BLOCK])
+    def test_dense_rows_past_level_two(self, block, monkeypatch):
+        # the clique's rows are unfinished after level 2 and are split
+        monkeypatch.setattr(graph_module, "SOURCE_BLOCK", block)
+        g = lollipop(8, 20)
+        tp = transmission_profile(g)
+        assert (list(tp.sigma), tp.wiener, tp.diameter) == oracle_profile(g.adjacency)
+        assert tp.diameter == 21
+
+    @pytest.mark.parametrize("block", [7, graph_module.SOURCE_BLOCK])
+    @pytest.mark.parametrize(("n", "edges"), [
+        (50, [(v, v + 1) for v in range(19)] + [(v, v + 1) for v in range(20, 49)]),
+        (31, [(v, (v + 1) % 30) for v in range(30)]),  # vertex 30 is isolated
+    ], ids=["two-paths", "isolated-beside-a-cycle"])
+    def test_disconnection_found_after_level_two(self, block, n, edges, monkeypatch):
+        monkeypatch.setattr(graph_module, "SOURCE_BLOCK", block)
+        g = Graph.from_edges(n, edges)
+        with pytest.raises(DisconnectedGraphError) as check:
+            graph_module.check_connected(g)
+        with pytest.raises(DisconnectedGraphError) as engine:
+            transmission_profile(g)
+        assert str(engine.value) == str(check.value)
 
     @pytest.mark.parametrize("block", [3, graph_module.SOURCE_BLOCK])
     @settings(max_examples=40, deadline=None)

@@ -68,6 +68,80 @@ def test_record_bench_reads_the_four_workloads():
     ]
 
 
+def run_output(wall_ref: float, peak_rss_mb: float) -> str:
+    """A synthetic ``run.py`` output with these two metric values."""
+    return (RUN_OUTPUT.replace("3.26057", repr(wall_ref))
+            .replace('"value": 43.0', f'"value": {peak_rss_mb!r}'))
+
+
+def test_record_bench_summarises_pairs():
+    record_bench = load_record_bench()
+    walls = [(2.7, 3.1), (2.8, 3.2), (3.0, 3.0), (2.6, 3.3), (2.9, 2.8)]  # (change, parent)
+    pairs = [
+        {"seed": seed, "first": "change" if seed % 2 else "parent",
+         "change": record_bench.parse_run_output(run_output(change, 40.0 + seed)),
+         "parent": record_bench.parse_run_output(run_output(parent, 42.0))}
+        for seed, (change, parent) in enumerate(walls, start=1)
+    ]
+    summary = record_bench.summarise_pairs(
+        pairs, {"wall_ref": "lower", "peak_rss_mb": "higher", "setup_s": "lower"})
+    assert set(summary) == {"wall_ref", "peak_rss_mb"}  # no run reports setup_s
+    wall = summary["wall_ref"]
+    assert (wall["better"], wall["pairs"], wall["change_won"]) == ("lower", 5, 3)  # one tie
+    assert wall["change"]["values"] == [2.7, 2.8, 3.0, 2.6, 2.9]
+    assert wall["parent"]["values"] == [3.1, 3.2, 3.0, 3.3, 2.8]
+    # statistics.quantiles(n=4), the exclusive method, on 5 values
+    assert wall["change"]["median"] == 2.8
+    assert wall["change"]["q1"] == pytest.approx(2.65)
+    assert wall["change"]["q3"] == pytest.approx(2.95)
+    assert wall["parent"]["median"] == 3.1
+    assert wall["parent"]["q1"] == pytest.approx(2.9)
+    assert wall["parent"]["q3"] == pytest.approx(3.25)
+    rss = summary["peak_rss_mb"]
+    assert rss["change_won"] == 3  # 41 .. 45 against 42, higher is better
+
+
+def test_record_bench_summary_skips_failed_runs():
+    record_bench = load_record_bench()
+    ok = record_bench.parse_run_output(run_output(3.0, 40.0))
+    pairs = [
+        {"seed": 1, "first": "change", "change": {"error": "exit 2"}, "parent": ok},
+        {"seed": 2, "first": "parent", "change": record_bench.parse_run_output(run_output(2.5, 40.0)),
+         "parent": ok},
+    ]
+    wall = record_bench.summarise_pairs(pairs, {"wall_ref": "lower"})["wall_ref"]
+    assert (wall["pairs"], wall["change_won"]) == (1, 1)
+    assert wall["change"] == {"median": 2.5, "q1": 2.5, "q3": 2.5, "values": [2.5]}
+
+
+def test_record_bench_runs_alternating_pairs_against_a_parent(tmp_path, monkeypatch):
+    record_bench = load_record_bench()
+    parent = tmp_path / "parent"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").touch()
+    calls = []
+
+    def fake_run(checkout, name, seed, seconds):
+        side = "parent" if checkout == parent else "change"
+        calls.append((name, seed, side))
+        return record_bench.parse_run_output(run_output(3.0 if side == "parent" else 2.5, 40.0))
+
+    monkeypatch.setattr(record_bench, "ROOT", tmp_path)
+    monkeypatch.setattr(record_bench, "run_once", fake_run)
+    assert record_bench.main(["--label", "t", "--seed", "4", "--parent", str(parent)]) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    names = record_bench.workload_names()
+    assert sorted(record["workloads"]) == sorted(names)
+    for name in names:
+        runs = [(seed, side) for n, seed, side in calls if n == name]
+        assert runs == [(4, "parent"), (4, "change"), (5, "change"), (5, "parent"),
+                        (6, "parent"), (6, "change"), (7, "change"), (7, "parent"),
+                        (8, "parent"), (8, "change")]
+        entry = record["workloads"][name]
+        assert [pair["first"] for pair in entry["pairs"]] == ["parent", "change"] * 2 + ["parent"]
+        assert entry["summary"]["wall_ref"]["change_won"] == 5
+
+
 def assigned_value(path: Path, name: str) -> ast.expr:
     """The value assigned to the annotated module-level ``name`` in
     ``path``, read from its syntax tree: the module is not imported or run."""
