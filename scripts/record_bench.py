@@ -36,7 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 #: Pairs of runs per workload with ``--parent``.
-PAIRS = 5
+PAIRS = 10
 
 
 def parse_run_output(stdout: str) -> dict:

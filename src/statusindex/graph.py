@@ -352,20 +352,21 @@ def profile_from_rows(rows: Sequence[Sequence[int]]) -> TransmissionProfile:
     Multi-source BFS over bitsets of sources, one bit per source.
     ``unreached[v]`` holds the sources farther than ``level`` from
     ``v``. A source is farther than L from ``v`` exactly when it is
-    farther than L - 1 from ``v`` and from every neighbour of ``v``, so
-    levels 1 and 2 AND the neighbours' sets into a copy of ``v``'s own.
-    From level 2 on ``v``'s own set adds nothing: ``v`` is in no
-    neighbour's set, and any other source farther than L - 1 from every
-    neighbour is farther than L from ``v``. So after level 2 each
-    unfinished vertex keeps its row split into its first neighbour and
-    the rest, and later levels visit only those vertices and AND only
-    their neighbours' sets. Every AND stops at the first empty result,
-    and a finished vertex is dropped. A distance d counts once at each
-    level below d, so ``sigma[v]`` is the sum over the levels of the
-    popcount of ``unreached[v]``; level 0 gives every vertex n - 1. The
-    diameter is the first level that leaves no source unreached; a level
-    that changes no set means the graph is disconnected. Sources run in
-    blocks of SOURCE_BLOCK to bound the bitset sizes.
+    farther than L - 1 from ``v`` and from every neighbour of ``v``.
+    Each level visits the unfinished vertices as items ``(v, head,
+    tail)``: the AND of ``unreached[head]`` and the sets of ``tail``,
+    stopped at the first empty result, becomes ``v``'s next set, and a
+    vertex whose set is empty is dropped. Levels 1 and 2 use ``(v, v,
+    rows[v])``. From level 2 on ``v``'s own set adds nothing (``v`` is
+    in no neighbour's set, and any other source farther than L - 1 from
+    every neighbour is farther than L from ``v``), so after level 2 the
+    items become ``(v, row[0], row[1:])``. A distance d counts once at
+    each level below d, so ``sigma[v]`` is the sum over the levels of
+    the popcount of ``unreached[v]``; level 0 gives every vertex n - 1.
+    The diameter is the first level that leaves no source unreached. A
+    level that changes no set, or an unfinished vertex without
+    neighbours at the split, means the graph is disconnected. Sources
+    run in blocks of SOURCE_BLOCK to bound the bitset sizes.
     """
     n = len(rows)
     sigma = [n - 1] * n
@@ -376,40 +377,8 @@ def profile_from_rows(rows: Sequence[Sequence[int]]) -> TransmissionProfile:
         unreached = [block] * n
         for s in range(lo, hi):
             unreached[s] = block ^ (1 << (s - lo))
-        left = (n - 1) * (hi - lo)  # pairs still unreached
+        active = [(v, v, row) for v, row in enumerate(rows) if unreached[v]]
         level = 0
-        while left and level < 2:
-            level += 1
-            nxt = [0] * n
-            total = 0
-            for v, row in enumerate(rows):
-                bits = unreached[v]
-                if not bits:
-                    continue
-                for u in row:
-                    bits &= unreached[u]
-                    if not bits:
-                        break
-                else:
-                    nxt[v] = bits
-                    count = bits.bit_count()
-                    sigma[v] += count
-                    total += count
-            if total == left:
-                raise DisconnectedGraphError(_DISCONNECTED)
-            left = total
-            unreached = nxt
-        # Rows are split only here, so a graph of diameter at most 2
-        # never copies one. An unfinished vertex without neighbours is
-        # an isolated vertex beside others.
-        active = []
-        if left:
-            for v, bits in enumerate(unreached):
-                if bits:
-                    row = rows[v]
-                    if not row:
-                        raise DisconnectedGraphError(_DISCONNECTED)
-                    active.append((v, row[0], row[1:]))
         while active:
             level += 1
             nxt = [0] * n
@@ -429,6 +398,13 @@ def profile_from_rows(rows: Sequence[Sequence[int]]) -> TransmissionProfile:
                 raise DisconnectedGraphError(_DISCONNECTED)
             unreached = nxt
             active = still
+            if level == 2:
+                # Rows are split only here, so a graph of diameter at
+                # most 2 never copies one. An unfinished vertex without
+                # neighbours is an isolated vertex beside others.
+                active = [(v, row[0], row[1:]) for v, _, row in still if row]
+                if len(active) < len(still):
+                    raise DisconnectedGraphError(_DISCONNECTED)
         diameter = max(diameter, level)
     # each distance is counted from both ends
     wiener = exact_div(sum(sigma), 2, "half the total transmission")

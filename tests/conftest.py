@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -20,6 +21,42 @@ def src_on_subprocess_path():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", str(Path(__file__).parents[1] / "src"), prepend=os.pathsep)
         yield
+
+
+#: Seconds one test may run before it fails; the slowest takes about 2.5.
+TEST_TIME_LIMIT = 60
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran longer than TEST_TIME_LIMIT. Not an ``Exception``:
+    Hypothesis would take one for a failing example and shrink it,
+    running the hanging example again after the alarm has gone off."""
+
+
+def _time_limit_exceeded(signum, frame):
+    if frame.f_lineno is None:
+        # Python 3.11 gives some jumps no line number, and pytest cannot
+        # render a traceback entry without one: stop at the next check.
+        signal.setitimer(signal.ITIMER_REAL, 0.001)
+        return
+    raise TimeLimitExceeded(f"the test ran longer than {TEST_TIME_LIMIT} s")
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs longer than TEST_TIME_LIMIT, so a fault that
+    keeps a loop from ending (an engine whose sets never settle) fails
+    the suite instead of hanging it. Armed only where SIGALRM exists."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _time_limit_exceeded)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -132,14 +132,17 @@ def test_record_bench_runs_alternating_pairs_against_a_parent(tmp_path, monkeypa
     record = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
     names = record_bench.workload_names()
     assert sorted(record["workloads"]) == sorted(names)
+    pairs = record_bench.PAIRS
+    seeds = range(4, 4 + pairs)
+    first = (["parent", "change"] * pairs)[:pairs]  # the parent first on even seeds
+    second = {"parent": "change", "change": "parent"}
     for name in names:
         runs = [(seed, side) for n, seed, side in calls if n == name]
-        assert runs == [(4, "parent"), (4, "change"), (5, "change"), (5, "parent"),
-                        (6, "parent"), (6, "change"), (7, "change"), (7, "parent"),
-                        (8, "parent"), (8, "change")]
+        assert runs == [run for seed, side in zip(seeds, first)
+                        for run in ((seed, side), (seed, second[side]))]
         entry = record["workloads"][name]
-        assert [pair["first"] for pair in entry["pairs"]] == ["parent", "change"] * 2 + ["parent"]
-        assert entry["summary"]["wall_ref"]["change_won"] == 5
+        assert [pair["first"] for pair in entry["pairs"]] == first
+        assert entry["summary"]["wall_ref"]["change_won"] == pairs
 
 
 def assigned_value(path: Path, name: str) -> ast.expr:
