@@ -1,27 +1,27 @@
 #!/usr/bin/env python3
-"""Record benchmark runs of every workload as ``BENCH_<label>.json``.
+"""Record a change against its parent commit as ``BENCH_<label>.json``.
 
 Usage, from anywhere in a source checkout:
 
-    python3 scripts/record_bench.py --label after-streaming-json --seed 1 --seconds 28
-    python3 scripts/record_bench.py --label my-change --seed 1 --parent ../parent-checkout
+    python3 scripts/record_bench.py --label my-change --parent ../parent-checkout
 
-Runs ``perfbench/run.py --trace 0`` once per workload named in
-``BENCHMARK.json``, one after another, and writes each workload's
-``metrics``, ``attempted``, ``failed`` and ``env`` line to
-``BENCH_<label>.json`` at the repository root.
-
-With ``--parent``, another source checkout (the commit a change is
-measured against), each workload instead runs PAIRS pairs, one run of
+``--parent`` is another source checkout, the commit the change is
+measured against. For each workload named in ``BENCHMARK.json`` the
+script runs PAIRS pairs of ``perfbench/run.py --trace 0``, one run of
 this checkout ("change") and one of the parent in each, on the seeds
-``seed .. seed + PAIRS - 1``. Each side runs its own ``perfbench/run.py``
-with the same arguments, and the change runs first on odd seeds. The
-file then holds every run of both sides and, per end-to-end metric of
-``BENCHMARK.json``, each side's median and quartiles and the number of
-pairs the change won (ties count for neither side).
+``seed .. seed + PAIRS - 1`` (``--seed``, default 1). Each side runs its
+own ``perfbench/run.py`` with the same arguments for the benchmark's
+``run_seconds``, and the change runs first on odd seeds.
+``BENCH_<label>.json`` at the repository root holds every run of both
+sides (its ``metrics``, ``attempted``, ``failed`` and ``env`` line, or
+``{"error": ...}`` for a run that exits non-zero or prints no result)
+and, per end-to-end metric of ``BENCHMARK.json``, each side's median and
+quartiles and the number of pairs the change won (ties count for
+neither side).
 
 Exits 1 if a run fails or reports a failed operation; the file is
-written either way.
+written either way. The spread of one checkout alone is recorded by
+``perfbench/spread.py --runs N --out FILE``.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: Pairs of runs per workload with ``--parent``.
+#: Pairs of runs per workload.
 PAIRS = 10
 
 
@@ -58,28 +58,28 @@ def parse_run_output(stdout: str) -> dict:
     }
 
 
-def workload_names(root: Path = ROOT) -> list[str]:
+def load_benchmark(root: Path = ROOT) -> tuple[list[str], float, dict[str, str]]:
+    """From ``BENCHMARK.json``: the workload names, the seconds each run
+    lasts, and each end-to-end metric with its better direction,
+    ``"lower"`` or ``"higher"``."""
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return [workload["name"] for workload in spec["workloads"]]
-
-
-def end_to_end(root: Path = ROOT) -> dict[str, str]:
-    """Each end-to-end metric of ``BENCHMARK.json`` with its better
-    direction, ``"lower"`` or ``"higher"``."""
-    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    return ([workload["name"] for workload in spec["workloads"]], spec["run_seconds"],
+            {metric["name"]: metric["better"] for metric in spec["end_to_end"]})
 
 
 def run_once(checkout: Path, name: str, seed: int, seconds: float) -> dict:
     """One untraced ``run.py`` run in ``checkout``: its parsed output, or
-    ``{"error": ...}`` when it exits non-zero."""
+    ``{"error": ...}`` when it exits non-zero or its output is unreadable."""
     command = [sys.executable, "perfbench/run.py", "--workload", name,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         print(done.stderr, file=sys.stderr)
         return {"error": f"exit {done.returncode}"}
-    return parse_run_output(done.stdout)
+    try:
+        return parse_run_output(done.stdout)
+    except ValueError as error:  # a json.JSONDecodeError too
+        return {"error": f"unreadable output: {error}"}
 
 
 def healthy(entry: dict) -> bool:
@@ -118,36 +118,30 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True,
                         help="file label: letters, digits, '.', '_' and '-'")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=28.0)
-    parser.add_argument("--parent", type=Path, default=None,
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--parent", type=Path, required=True,
                         help=f"source checkout to run against: {PAIRS} alternating pairs a workload")
     args = parser.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9._-]+", args.label):
         parser.error(f"label {args.label!r} is not a plain file-name part")
-    if args.parent is not None and not (args.parent / "perfbench" / "run.py").is_file():
+    if not (args.parent / "perfbench" / "run.py").is_file():
         parser.error(f"parent {str(args.parent)!r} has no perfbench/run.py")
 
+    names, seconds, better = load_benchmark()
+    checkouts = {"change": ROOT, "parent": args.parent.resolve()}
     record: dict = {"label": args.label, "workloads": {}}
     ok = True
-    for name in workload_names():
-        if args.parent is None:
-            print(f"running {name} ...", file=sys.stderr, flush=True)
-            entry = run_once(ROOT, name, args.seed, args.seconds)
-            record["workloads"][name] = entry
-            ok = ok and healthy(entry)
-            continue
-        checkouts = {"change": ROOT, "parent": args.parent.resolve()}
+    for name in names:
         pairs = []
         for seed in range(args.seed, args.seed + PAIRS):
             order = ("change", "parent") if seed % 2 else ("parent", "change")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 print(f"running {name} seed {seed} ({side}) ...", file=sys.stderr, flush=True)
-                pair[side] = run_once(checkouts[side], name, seed, args.seconds)
+                pair[side] = run_once(checkouts[side], name, seed, seconds)
                 ok = ok and healthy(pair[side])
             pairs.append(pair)
-        record["workloads"][name] = {"pairs": pairs, "summary": summarise_pairs(pairs, end_to_end())}
+        record["workloads"][name] = {"pairs": pairs, "summary": summarise_pairs(pairs, better)}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(path)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import comb
 from typing import Callable, NamedTuple
 
-from .families import FamilySpec, edge_count
+from .families import FamilySpec
 from .graph import exact_div
 from .indices import coindex_identity, transmission_regular_indices
 
@@ -51,9 +51,10 @@ class ClosedFormReport(NamedTuple):
 
 
 def _corrected_report(
-    family: FamilySpec, n: int, m: int, degree: int, k: int,
-    printed: dict[str, int],
+    family: FamilySpec, n: int, degree: int, k: int, printed: dict[str, int],
 ) -> ClosedFormReport:
+    # every family here is regular, so it has n*degree/2 edges
+    m = exact_div(n * degree, 2, "edge count n*degree/2")
     wiener = exact_div(n * k, 2, "n*k/2 (Wiener index)")
     # every sigma is k: edge sums 2mk and mk^2, sum sigma nk, sum sigma^2 nk^2
     s1, s2 = 2 * m * k, m * k * k
@@ -90,7 +91,7 @@ def intersection_closed_forms(p: int, t: int) -> ClosedFormReport:
         "s1_co": disjoint * n * (n + disjoint - 1),
         "s2_co": (comb(n, 2) - m) * (n + disjoint - 1) ** 2,
     }
-    return _corrected_report(spec, n, m, degree, k, printed)
+    return _corrected_report(spec, n, degree, k, printed)
 
 
 def hypercube_closed_forms(n: int) -> ClosedFormReport:
@@ -102,7 +103,6 @@ def hypercube_closed_forms(n: int) -> ClosedFormReport:
     """
     spec = FamilySpec.hypercube(n)
     size = 2 ** n
-    m = edge_count(spec)
     k = n * 2 ** (n - 1)
     printed = {
         "s1": n * n * 2 ** (2 * n - 1),
@@ -110,7 +110,7 @@ def hypercube_closed_forms(n: int) -> ClosedFormReport:
         "s1_co": 2 * n * n * 2 ** (n - 1) * (2 * n - 5),
         "s2_co": n * n * 2 ** (2 * n - 2) * (n * (2 * n - 1) - 1),
     }
-    return _corrected_report(spec, size, m, n, k, printed)
+    return _corrected_report(spec, size, n, k, printed)
 
 
 def kneser_distance(p: int, k: int, s: int) -> int:
@@ -130,7 +130,6 @@ def kneser_closed_forms(p: int, k: int) -> ClosedFormReport:
     spec = FamilySpec.kneser(p, k)
     n = comb(p, k)
     degree = comb(p - k, k)
-    m = exact_div(n * degree, 2, "kneser edge count n*degree/2")
     sigma = sum(comb(k, s) * comb(p - k, k - s) * kneser_distance(p, k, s) for s in range(k))
     wiener = exact_div(n * sigma, 2, "kneser Wiener index C(p,k)*sigma/2")
     s2 = degree * exact_div(2 * wiener * wiener, n, "kneser 2W^2/C(p,k)")
@@ -141,7 +140,7 @@ def kneser_closed_forms(p: int, k: int) -> ClosedFormReport:
         # published middle term subtracts W; the identity needs 2W^2/C(p,k)
         "s2_co": 2 * wiener * wiener - wiener - s2,
     }
-    return _corrected_report(spec, n, m, degree, sigma, printed)
+    return _corrected_report(spec, n, degree, sigma, printed)
 
 
 def nanotorus_closed_forms(p: int, q: int) -> ClosedFormReport:
@@ -156,7 +155,6 @@ def nanotorus_closed_forms(p: int, q: int) -> ClosedFormReport:
     n = p * q
     a = min(p, q)
     poly = 6 * p * p + q * q - 4 if q < p else 3 * q * q + 3 * p * q + p * p - 4
-    m = edge_count(spec)
     sigma = exact_div(a * poly, 12, "nanotorus transmission")
     printed = {
         "s1": exact_div(n * a * poly, 4, "nanotorus s1"),
@@ -164,7 +162,7 @@ def nanotorus_closed_forms(p: int, q: int) -> ClosedFormReport:
         "s1_co": exact_div(n * a * (n - 4) * poly, 12, "nanotorus s1_co"),
         "s2_co": exact_div(n * a * a * (n - 4) * poly * poly, 288, "nanotorus s2_co"),
     }
-    return _corrected_report(spec, n, m, 3, sigma, printed)
+    return _corrected_report(spec, n, 3, sigma, printed)
 
 
 #: kind -> the evaluator of its closed forms, called with the spec's parameters.

@@ -250,9 +250,13 @@ def test_corrected_closed_forms_satisfy_identities():
 
 
 def test_subset_family_edge_counts_match_the_family_table():
-    # the closed forms halve n * degree; the family table multiplies the
-    # binomials, so the two agree only if both are right, past the caps too
-    specs = [FamilySpec.intersection(p, t) for p in range(3, 60) for t in range(2, p)]
+    # the closed forms halve n * degree; the family table writes each
+    # family's count its own way (binomial products, a shift, 3pq/2), so
+    # the two agree only if both are right, past the caps too
+    specs = [FamilySpec.hypercube(n) for n in range(1, 60)]
+    specs += [FamilySpec.nanotorus(p, q) for p in range(2, 60, 2) for q in range(2, 60, 2)
+              if (p, q) != (2, 2)]
+    specs += [FamilySpec.intersection(p, t) for p in range(3, 60) for t in range(2, p)]
     specs += [FamilySpec.kneser(p, 1) for p in range(2, 60)]
     specs += [FamilySpec.kneser(p, k) for p in range(5, 60) for k in range(2, (p + 1) // 2)]
     for spec in specs:

@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from statusindex.cli import main
 
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
+BENCHMARK = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 def load_record_bench():
@@ -63,9 +65,11 @@ def test_record_bench_rejects_other_output(text):
 
 
 def test_record_bench_reads_the_four_workloads():
-    assert load_record_bench().workload_names() == [
-        "compute-sparse", "compute-dense", "verify-families", "checks",
-    ]
+    names, seconds, better = load_record_bench().load_benchmark()
+    assert names == ["compute-sparse", "compute-dense", "verify-families", "checks"]
+    assert seconds == BENCHMARK["run_seconds"]
+    assert better == {"wall_ref": "lower", "cpu_ref": "lower", "peak_rss_mb": "lower",
+                      "setup_s": "lower"}
 
 
 def run_output(wall_ref: float, peak_rss_mb: float) -> str:
@@ -114,35 +118,119 @@ def test_record_bench_summary_skips_failed_runs():
     assert wall["change"] == {"median": 2.5, "q1": 2.5, "q3": 2.5, "values": [2.5]}
 
 
-def test_record_bench_runs_alternating_pairs_against_a_parent(tmp_path, monkeypatch):
-    record_bench = load_record_bench()
+def fake_parent(tmp_path: Path) -> Path:
+    """A directory that passes the recorder's check for a parent checkout."""
     parent = tmp_path / "parent"
     (parent / "perfbench").mkdir(parents=True)
     (parent / "perfbench" / "run.py").touch()
+    return parent
+
+
+def test_record_bench_runs_alternating_pairs_against_a_parent(tmp_path, monkeypatch):
+    record_bench = load_record_bench()
+    parent = fake_parent(tmp_path)
     calls = []
 
     def fake_run(checkout, name, seed, seconds):
         side = "parent" if checkout == parent else "change"
-        calls.append((name, seed, side))
+        calls.append((name, seed, side, seconds))
         return record_bench.parse_run_output(run_output(3.0 if side == "parent" else 2.5, 40.0))
 
     monkeypatch.setattr(record_bench, "ROOT", tmp_path)
     monkeypatch.setattr(record_bench, "run_once", fake_run)
     assert record_bench.main(["--label", "t", "--seed", "4", "--parent", str(parent)]) == 0
     record = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
-    names = record_bench.workload_names()
+    names = [workload["name"] for workload in BENCHMARK["workloads"]]
     assert sorted(record["workloads"]) == sorted(names)
     pairs = record_bench.PAIRS
     seeds = range(4, 4 + pairs)
     first = (["parent", "change"] * pairs)[:pairs]  # the parent first on even seeds
     second = {"parent": "change", "change": "parent"}
     for name in names:
-        runs = [(seed, side) for n, seed, side in calls if n == name]
+        runs = [(seed, side) for n, seed, side, _ in calls if n == name]
         assert runs == [run for seed, side in zip(seeds, first)
                         for run in ((seed, side), (seed, second[side]))]
         entry = record["workloads"][name]
         assert [pair["first"] for pair in entry["pairs"]] == first
         assert entry["summary"]["wall_ref"]["change_won"] == pairs
+    # every run lasts BENCHMARK.json's run_seconds
+    assert {seconds for *_, seconds in calls} == {BENCHMARK["run_seconds"]}
+
+
+@pytest.mark.parametrize("extra", [[], ["--parent", "PARENT", "--seconds", "5"]])
+def test_record_bench_runs_nothing_without_a_parent_or_with_seconds(tmp_path, monkeypatch, extra):
+    # one mode only: a change against its parent, for BENCHMARK.json's run length
+    record_bench = load_record_bench()
+    parent = fake_parent(tmp_path)
+    calls = []
+    monkeypatch.setattr(record_bench, "ROOT", tmp_path)
+    monkeypatch.setattr(record_bench, "run_once", lambda *args: calls.append(args))
+    argv = ["--label", "t", *(str(parent) if arg == "PARENT" else arg for arg in extra)]
+    with pytest.raises(SystemExit) as exit_info:
+        record_bench.main(argv)
+    assert exit_info.value.code == 2
+    assert calls == []
+    assert not (tmp_path / "BENCH_t.json").exists()
+
+
+def test_record_bench_writes_the_file_when_a_run_prints_no_result(tmp_path, monkeypatch):
+    # run.py exiting 0 without its result line fails that run, not the sweep
+    record_bench = load_record_bench()
+    parent = fake_parent(tmp_path)
+    runs = []
+
+    def fake_subprocess_run(command, cwd, **kwargs):
+        runs.append(cwd)
+        stdout = RUN_OUTPUT.splitlines()[0] if len(runs) == 2 else RUN_OUTPUT
+        return subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(record_bench, "ROOT", tmp_path)
+    monkeypatch.setattr(record_bench.subprocess, "run", fake_subprocess_run)
+    assert record_bench.main(["--label", "t", "--parent", str(parent)]) == 1
+    record = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    assert len(runs) == 2 * record_bench.PAIRS * len(BENCHMARK["workloads"])
+    first = record["workloads"][BENCHMARK["workloads"][0]["name"]]
+    assert first["pairs"][0]["first"] == "change"  # seed 1: the parent's run is the second
+    assert first["pairs"][0]["parent"]["error"].startswith("unreadable output: ")
+    assert first["pairs"][0]["change"]["failed"] == 0
+    assert first["summary"]["wall_ref"]["pairs"] == record_bench.PAIRS - 1
+
+
+#: A stand-in ``perfbench/run.py``: one ``env`` line with its arguments,
+#: then one result line whose ``wall_ref`` is WALL.
+STUB_RUN = """import json, sys
+print("env " + json.dumps({"argv": sys.argv[1:]}))
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"wall_ref": {"value": WALL, "unit": "ref"}}}))
+"""
+
+
+def test_record_bench_runs_the_runner_of_each_checkout(tmp_path, monkeypatch):
+    # the real subprocess path, against two stub checkouts
+    record_bench = load_record_bench()
+    for side, wall in (("change", "2.5"), ("parent", "3.0")):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(
+            STUB_RUN.replace("WALL", wall), encoding="utf-8")
+    monkeypatch.setattr(record_bench, "ROOT", tmp_path / "change")
+    monkeypatch.setattr(record_bench, "PAIRS", 2)
+    argv = ["--label", "t", "--seed", "7", "--parent", str(tmp_path / "parent")]
+    assert record_bench.main(argv) == 0
+    record = json.loads((tmp_path / "change" / "BENCH_t.json").read_text(encoding="utf-8"))
+    names = [workload["name"] for workload in BENCHMARK["workloads"]]
+    assert sorted(record["workloads"]) == sorted(names)
+    for name in names:
+        entry = record["workloads"][name]
+        assert [(pair["seed"], pair["first"]) for pair in entry["pairs"]] == [
+            (7, "change"), (8, "parent")]
+        for pair in entry["pairs"]:
+            for side, wall in (("change", 2.5), ("parent", 3.0)):
+                assert pair[side]["metrics"]["wall_ref"]["value"] == wall
+                assert pair[side]["env"]["argv"] == [
+                    "--workload", name, "--seed", str(pair["seed"]),
+                    "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"]
+        wall_ref = entry["summary"]["wall_ref"]
+        assert (wall_ref["pairs"], wall_ref["change_won"]) == (2, 2)
 
 
 def assigned_value(path: Path, name: str) -> ast.expr:
