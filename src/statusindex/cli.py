@@ -3,7 +3,8 @@
 Exit codes: 0 on success / clean verification, 1 on an unregistered
 verification mismatch, 2 on input or parameter errors (including a
 verification run that checks no case), 3 on an internal error (a broken
-invariant, reported with its traceback). JSON output is schema-stable:
+invariant, reported with its traceback), 141 (128 + SIGPIPE) with nothing
+printed when the reader closes stdout early. JSON output is schema-stable:
 keys sorted, no floating point, integers beyond the 53-bit safe range
 rendered as exact decimal strings.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from itertools import product
 from json.encoder import encode_basestring_ascii
@@ -80,8 +82,9 @@ def _print_payload(payload: dict[str, Any], args: argparse.Namespace,
 def _read_graph(path: str):
     # A file is parsed as it is read. A pipe cannot be read twice, for the
     # parser to name a repeated edge's line, so its bytes are first copied
-    # in chunks to a temporary file, then decoded like a file's.
-    with open(path, "r", encoding="utf-8") as handle:
+    # in chunks to a temporary file, then decoded like a file's. A leading
+    # byte-order mark is dropped; one anywhere else stays an error.
+    with open(path, "r", encoding="utf-8-sig") as handle:
         if handle.seekable():
             return parse_edge_list(handle)
         import shutil  # only this path needs them; importing them costs start-up
@@ -90,7 +93,7 @@ def _read_graph(path: str):
         with tempfile.TemporaryFile() as spool:
             shutil.copyfileobj(handle.buffer, spool)
             spool.seek(0)
-            return parse_edge_list(io.TextIOWrapper(spool, encoding="utf-8"))
+            return parse_edge_list(io.TextIOWrapper(spool, encoding="utf-8-sig"))
 
 
 def _integer(text: str) -> int:
@@ -235,7 +238,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
-        sys.stdout.write(text)
+        # Through the binary layer, retrying short writes: unbuffered, the
+        # text layer drops what a closed pipe did not take, and no error shows.
+        data = memoryview(text.encode())
+        while data:
+            data = data[sys.stdout.buffer.write(data):]
     return 0
 
 
@@ -509,7 +516,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a buffered write to a closed pipe fails here
+        return code
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull so that the
+        # interpreter's final flush stays silent too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError) as exc:  # GraphError and FamilyError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

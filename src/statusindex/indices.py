@@ -168,13 +168,20 @@ def zagreb_coindices(g: Graph) -> tuple[int, int]:
 
 def compute_index_bundle(g: Graph, tp: TransmissionProfile | None = None) -> IndexBundle:
     """All eight indices plus the Wiener index, in O(n + m) after the
-    profile: edge sums, then the co-indices from the pair-sum identities.
+    profile: the status and Zagreb edge sums from one packed ``edge_sums``
+    pass, then the co-indices from the pair-sum identities.
     """
     if tp is None:
         tp = transmission_profile(g)
-    s1, s2 = status_indices(g, tp)
+    # Weights sigma_v 2^k + d_v give t = S1 2^k + M1 and p = S2 2^2k + X 2^k + M2,
+    # X the sum over edges of sigma_u d_v + sigma_v d_u. On a connected graph
+    # d <= sigma, so M1 <= 2m max d, M2 <= m max d^2 and X <= 2m max sigma max d
+    # are each below 2^k: the fields never overlap. K1 has k = 0 and all 0.
+    k = (2 * g.m * max(tp.sigma) * max(g.degrees)).bit_length()
+    t, p = edge_sums(g.adjacency, [s << k | d for s, d in zip(tp.sigma, g.degrees)])
+    mask = (1 << k) - 1
+    s1, s2, m1, m2 = t >> k, p >> 2 * k, t & mask, p & mask
     s1_co, s2_co = status_coindices_identity(tp, s1, s2)
-    m1, m2 = zagreb_indices(g)
     m1_co, m2_co = zagreb_coindices_identity(g.n, g.m, m1, m2)
     return IndexBundle(
         s1=s1, s2=s2, s1_co=s1_co, s2_co=s2_co,

@@ -6,8 +6,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from statusindex import VerificationReport, verify_grid
+from statusindex import Graph, VerificationReport, verify_grid
 
 sys.path.insert(0, str(Path(__file__).parent))  # for the oracles module
 
@@ -85,3 +86,16 @@ def grid_corrected() -> VerificationReport:
 def grid_as_printed() -> VerificationReport:
     """The default grid checked once per session in as-printed mode."""
     return verify_grid("as_printed")
+
+
+@st.composite
+def long_graphs(draw, max_n=60):
+    """Strategy: connected graphs of long diameter. Each vertex v >= 1
+    joins one of v - 3 .. v - 1, and up to 4 chords join random pairs."""
+    n = draw(st.integers(2, max_n))
+    edges = {(draw(st.integers(max(0, v - 3), v - 1)), v) for v in range(1, n)}
+    vertex = st.integers(0, n - 1)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=4)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(n, edges)

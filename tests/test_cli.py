@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -188,6 +189,46 @@ class TestCompute:
         assert code == 2
         assert err.startswith("error: 'utf-8' codec can't decode byte 0xff in position ")
 
+    def test_leading_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        path = tmp_path / "bom.edges"
+        path.write_bytes(b"\xef\xbb\xbfn 3\n0 1\n1 2\n")
+        plain = tmp_path / "plain.edges"
+        plain.write_bytes(b"n 3\n0 1\n1 2\n")
+        code, out, err = run(capsys, "compute", "--json", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["s1"] == 10
+        assert (code, out, err) == run(capsys, "compute", "--json", str(plain))
+
+    def test_byte_order_mark_names_a_repeated_edge_s_line(self, capsys, tmp_path):
+        # the repeated edge is named from a second read after seek(0),
+        # which drops the mark again
+        path = tmp_path / "bom-twice.edges"
+        path.write_bytes(b"\xef\xbb\xbfn 3\n0 1\n1 2\n1 0\n")
+        code, out, err = run(capsys, "compute", str(path))
+        assert (code, out, err) == (2, "", "error: line 4: duplicate edge 1 0\n")
+
+    def test_byte_order_mark_past_the_start_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "late-bom.edges"
+        path.write_bytes(b"n 3\n0 1\n\xef\xbb\xbf1 2\n")
+        code, out, err = run(capsys, "compute", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: line 3: non-integer vertex id in '\\ufeff1 2'\n"
+
+    @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
+    def test_piped_byte_order_mark_is_dropped(self):
+        def compute(data):
+            return subprocess.run(
+                [sys.executable, "-m", "statusindex", "compute", "/dev/stdin"],
+                input=data, capture_output=True,
+            )
+
+        result = compute(b"\xef\xbb\xbfn 3\n0 1\n1 2\n")
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == compute(b"n 3\n0 1\n1 2\n").stdout
+        result = compute(b"\xef\xbb\xbfn 3\n0 1\n1 2\n1 0\n")
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr == b"error: line 4: duplicate edge 1 0\n"
+
     def test_internal_error_exits_3(self, capsys, demo5_path, monkeypatch):
         def broken(g, tp):
             raise ArithmeticError("total transmission must be even")
@@ -218,6 +259,24 @@ class TestCompute:
 
         monkeypatch.setattr(sys, "stderr", Unwritable())
         assert main(["compute", str(demo5_path)]) == 3
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("generate", "--family", "hypercube", "--n", "12"),
+    ("verify", "--json", "--family", "random", "--count", "2000"),
+], ids=["generate", "verify"])
+def test_closed_stdout_exits_141_quietly(argv, unbuffered):
+    # the reader takes 100 bytes and closes the pipe; unbuffered, a write
+    # that the closing pipe cuts short must still end in the error
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    with subprocess.Popen([sys.executable, "-m", "statusindex", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 141
+    assert err == b""
 
 
 class TestGenerate:

@@ -26,6 +26,7 @@ from statusindex import graph as graph_module
 from statusindex.cli import _read_graph, main
 from statusindex.verify import demo_graph, random_connected_graph
 
+from conftest import long_graphs
 from oracles import complement, oracle_profile, reference_parse
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -104,19 +105,6 @@ def random_graphs(max_n=10):
         edge_probability=st.sampled_from([0.2, 0.35, 0.5, 0.7, 0.9]),
         seed=st.integers(0, 10_000),
     )
-
-
-@st.composite
-def long_graphs(draw, max_n=60):
-    """Strategy: connected graphs of long diameter. Each vertex v >= 1
-    joins one of v - 3 .. v - 1, and up to 4 chords join random pairs."""
-    n = draw(st.integers(2, max_n))
-    edges = {(draw(st.integers(max(0, v - 3), v - 1)), v) for v in range(1, n)}
-    vertex = st.integers(0, n - 1)
-    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=4)):
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    return Graph.from_edges(n, edges)
 
 
 def lollipop(clique, tail):

@@ -22,11 +22,12 @@ from statusindex import (
     zagreb_coindices_identity,
     zagreb_indices,
 )
-from statusindex import closed_forms, indices
+from statusindex import FamilySpec, closed_forms, generate, indices
 from statusindex.graph import exact_div
 from statusindex.indices import coindex_identity
 from statusindex.verify import demo_graph, random_connected_graph
 
+from conftest import long_graphs
 from oracles import oracle_edge_sums, oracle_indices, oracle_nonedge_sums
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -49,6 +50,11 @@ def random_graphs(max_n=10):
         edge_probability=st.sampled_from([0.25, 0.4, 0.6, 0.8, 0.95]),
         seed=st.integers(0, 10_000),
     )
+
+
+def star(n):
+    """K_{1,n-1}: vertex 0 joined to every other vertex."""
+    return Graph.from_edges(n, [(0, v) for v in range(1, n)])
 
 
 class TestEdgeSums:
@@ -212,6 +218,27 @@ class TestIndexBundle:
             assert value == expected[name], name
             assert value >= 0
 
+    # The packed pass splits S1, M1, S2 and M2 out of one edge_sums call:
+    # stars and long paths and cycles have sigma far above d, complete
+    # graphs sigma = d, where the dropped middle field reaches its bound.
+    @pytest.mark.parametrize("g", [
+        K1,
+        K2,
+        *(star(n) for n in (3, 4, 300)),
+        Graph.from_edges(300, [(v, v + 1) for v in range(299)]),
+        *(generate(FamilySpec("cycle", (n,))) for n in (300, 301)),
+        *(generate(FamilySpec("complete", (n,))) for n in (3, 5, 40)),
+        *(generate(FamilySpec("intersection", pt)) for pt in ((5, 2), (7, 3), (8, 3))),
+    ], ids=["K1", "K2", "star3", "star4", "star300", "path300", "cycle300", "cycle301",
+            "K3", "K5", "K40", "intersection5_2", "intersection7_3", "intersection8_3"])
+    def test_packed_pass_equals_separate_sums(self, g):
+        assert_packed_pass_equals_separate_sums(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(long_graphs())
+    def test_packed_pass_equals_separate_sums_long(self, g):
+        assert_packed_pass_equals_separate_sums(g)
+
     def test_single_edge(self):
         bundle = compute_index_bundle(K2)
         assert (bundle.s1, bundle.s2, bundle.s1_co, bundle.s2_co) == (2, 1, 0, 0)
@@ -229,6 +256,15 @@ class TestIndexBundle:
     @given(random_graphs(max_n=30))
     def test_identity_route_equals_direct_sums_random(self, g):
         assert_identity_route_equals_direct_sums(g)
+
+
+def assert_packed_pass_equals_separate_sums(g):
+    tp = transmission_profile(g)
+    bundle = compute_index_bundle(g, tp)
+    edges = (bundle.s1, bundle.s2, bundle.m1, bundle.m2)
+    assert edges == status_indices(g, tp) + zagreb_indices(g)
+    expected = oracle_indices(g.adjacency)
+    assert bundle._asdict() == {name: expected[name] for name in bundle._fields}
 
 
 def assert_identity_route_equals_direct_sums(g):

@@ -276,3 +276,33 @@ def test_benchmark_inputs_keep_their_recorded_digests(tmp_path):
         path = tmp_path / name
         assert main(["generate", *argv, "-o", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == expected[name], name
+
+
+def value_runs(values: list[int]) -> list[list[int]]:
+    """``values`` as ``[value, count]`` runs of equal neighbours, the form
+    ``perfbench/expected.json`` records a transmission list in."""
+    runs: list[list[int]] = []
+    for value in values:
+        if runs and runs[-1][0] == value:
+            runs[-1][1] += 1
+        else:
+            runs.append([value, 1])
+    return runs
+
+
+def test_benchmark_compute_inputs_reproduce_their_recorded_values(tmp_path, capsys):
+    # a wrong field would otherwise show only as a failed benchmark operation
+    commands = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))["commands"]
+    inputs = ast.literal_eval(assigned_value(PERFBENCH / "bench.py", "INPUTS"))
+    computed = [name for name in inputs if f"compute --json {name}" in commands]
+    assert len(computed) == 5
+    for name in computed:
+        path = tmp_path / name
+        assert main(["generate", *inputs[name], "-o", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["compute", "--json", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        values = {key: None if value is None else int(value)
+                  for key, value in payload.items() if key != "transmission"}
+        values["transmission"] = value_runs([int(s) for s in payload["transmission"]])
+        assert values == commands[f"compute --json {name}"], name
