@@ -90,10 +90,10 @@ def _read_graph(path: str):
         import shutil  # only this path needs them; importing them costs start-up
         import tempfile
 
-        with tempfile.TemporaryFile() as spool:
-            shutil.copyfileobj(handle.buffer, spool)
+        with io.TextIOWrapper(tempfile.TemporaryFile(), encoding="utf-8-sig") as spool:
+            shutil.copyfileobj(handle.buffer, spool.buffer)
             spool.seek(0)
-            return parse_edge_list(io.TextIOWrapper(spool, encoding="utf-8-sig"))
+            return parse_edge_list(spool)
 
 
 def _integer(text: str) -> int:
@@ -291,7 +291,7 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
         },
     })
     if args.json:
-        _print_json(payload)
+        print(json.dumps(payload, sort_keys=True, indent=2))
         return 0
     lines = [f"{key}: {payload[key]}" for key in _CLOSED_FORM_KEYS]
     for name, value in payload["indices"].items():

@@ -219,13 +219,17 @@ def parse_edge_list(source: str | TextIO) -> Graph:
     the cap before anything of that size is allocated, and appends each
     edge straight to both endpoints' rows; no list of the edges is kept,
     and a file (opened with universal newlines, the default) is read a
-    line at a time, never whole. Each error names its line. Repeated
-    edges are left to the graph's validation: only when it rejects one
-    are the lines read again, the file from its start, keeping only the
-    repeated pairs, to name the line that repeats an earlier edge.
+    line at a time, never whole, from where it stands, a position its
+    ``tell()`` must report (a ``for`` loop over a file that stopped
+    early leaves none). Each error names its line, counted from there.
+    Repeated edges are left to the graph's validation: only when it
+    rejects one are the lines read again, from that same place, keeping
+    only the repeated pairs, to name the line that repeats an earlier
+    edge.
     """
     if isinstance(source, str):
         source = io.StringIO(source, newline=None)
+    start = source.tell()
     header_n: int | None = None
     ids: dict[str, int] = {}  # canonical token -> vertex id, each checked once
     rows: list[Any] = []  # one list per vertex, allocated before any edge
@@ -293,7 +297,7 @@ def parse_edge_list(source: str | TextIO) -> Graph:
         # that start with an id.
         repeated = {(u, v) for u, row in enumerate(rows)
                     for v, w in zip(row, row[1:]) if v == w and u < v}
-        source.seek(0)
+        source.seek(start)
         seen: set[tuple[int, int]] = set()
         for lineno, line in enumerate(source, start=1):
             parts = line.split()
@@ -328,19 +332,14 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_complement(g: Graph) -> None:
-    """Raise GraphError when the complement of ``g`` has more than
-    MAX_EDGES edges, the most ``complement_rows`` lists."""
+def complement_rows(g: Graph) -> list[list[int]]:
+    """The sorted rows of the complement of ``g``: for each vertex, the
+    vertices other than itself that are not its neighbours. Raises
+    GraphError, before it lists any, when the complement has more than
+    MAX_EDGES edges."""
     edges = g.n * (g.n - 1) // 2 - g.m
     if edges > MAX_EDGES:
         raise GraphError(f"the complement has {edges} edges, more than the cap of {MAX_EDGES}")
-
-
-def complement_rows(g: Graph) -> list[list[int]]:
-    """The sorted rows of the complement of ``g``: for each vertex, the
-    vertices other than itself that are not its neighbours. Checks the
-    edge cap (``check_complement``) before it lists any."""
-    check_complement(g)
     vertices = set(range(g.n))
     return [sorted(vertices.difference(row, (u,))) for u, row in enumerate(g.adjacency)]
 

@@ -18,7 +18,6 @@ from .graph import (
     complement_rows,
     exact_div,
     profile_from_rows,
-    transmission_profile,
 )
 
 
@@ -166,13 +165,11 @@ def zagreb_coindices(g: Graph) -> tuple[int, int]:
     return nonedge_sums(g.adjacency, g.degrees)
 
 
-def compute_index_bundle(g: Graph, tp: TransmissionProfile | None = None) -> IndexBundle:
+def compute_index_bundle(g: Graph, tp: TransmissionProfile) -> IndexBundle:
     """All eight indices plus the Wiener index, in O(n + m) after the
     profile: the status and Zagreb edge sums from one packed ``edge_sums``
     pass, then the co-indices from the pair-sum identities.
     """
-    if tp is None:
-        tp = transmission_profile(g)
     # Weights sigma_v 2^k + d_v give t = S1 2^k + M1 and p = S2 2^2k + X 2^k + M2,
     # X the sum over edges of sigma_u d_v + sigma_v d_u. On a connected graph
     # d <= sigma, so M1 <= 2m max d, M2 <= m max d^2 and X <= 2m max sigma max d
@@ -190,14 +187,12 @@ def compute_index_bundle(g: Graph, tp: TransmissionProfile | None = None) -> Ind
     )
 
 
-def diam2_coindex_formulas(g: Graph, tp: TransmissionProfile | None = None) -> Diam2Formulas:
+def diam2_coindex_formulas(g: Graph, tp: TransmissionProfile) -> Diam2Formulas:
     """Evaluate the four diameter-<=2 co-index formulas.
 
     Requires diameter(g) <= 2, where every transmission collapses to
     2n - 2 - degree.
     """
-    if tp is None:
-        tp = transmission_profile(g)
     if tp.diameter > 2:
         raise ValueError(f"diameter {tp.diameter} > 2: formulas do not apply")
     n, m = g.n, g.m

@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .closed_forms import INDEX_NAMES, closed_forms_for
 from .families import FamilySpec, generate
-from .graph import DisconnectedGraphError, Graph, Value, check_complement, transmission_profile
+from .graph import DisconnectedGraphError, Graph, Value, transmission_profile
 from .indices import (
     complement_bounds,
     diam2_coindex_formulas,
@@ -200,7 +200,10 @@ def verify_identities(g: Graph, case_id: str = "graph") -> VerificationReport:
     When ``g`` is a fixture graph, adds a ``published.<index>`` row for
     each erratum registered against it.
     """
-    check_complement(g)  # above the edge cap, fail before any other work
+    try:  # first: above the complement's edge cap, fail before any BFS
+        bounds = complement_bounds(g)
+    except DisconnectedGraphError:
+        bounds = None
     tp = transmission_profile(g)
     s1, s2 = status_indices(g, tp)
     s1_co, s2_co = status_coindices_direct(g, tp)
@@ -217,11 +220,7 @@ def verify_identities(g: Graph, case_id: str = "graph") -> VerificationReport:
         ]
     # (index, oracle, formula, match, note)
     checks = [(name, oracle, formula, oracle == formula, "") for name, oracle, formula in equal]
-    try:
-        bounds = complement_bounds(g)
-    except DisconnectedGraphError:
-        pass
-    else:
+    if bounds is not None:
         diam_le_2 = bounds.complement_diameter <= 2
         checks += [
             ("complement_bound.s1", bounds.s1_actual, bounds.s1_lower,
@@ -380,11 +379,10 @@ def default_grid() -> list[FamilySpec]:
     return specs
 
 
-def verify_grid(
-    mode: str = "corrected", specs: Iterable[FamilySpec] | None = None
-) -> VerificationReport:
-    """Verify every spec in the grid (default: the full family grid)."""
+def verify_grid(mode: str, specs: Iterable[FamilySpec]) -> VerificationReport:
+    """Verify every spec in ``specs`` (``default_grid()`` for the full
+    family grid) in ``mode``."""
     cases: list[VerificationCase] = []
-    for spec in specs if specs is not None else default_grid():
+    for spec in specs:
         cases += verify_family(spec, mode=mode).cases
     return VerificationReport(cases)

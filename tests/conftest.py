@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from statusindex import Graph, VerificationReport, verify_grid
+from statusindex import Graph, VerificationReport, default_grid, verify_grid
 
 sys.path.insert(0, str(Path(__file__).parent))  # for the oracles module
 
@@ -79,13 +79,13 @@ def p4_path() -> Path:
 def grid_corrected() -> VerificationReport:
     """The default grid checked once per session in corrected mode; the
     tests that use it only read it."""
-    return verify_grid("corrected")
+    return verify_grid("corrected", default_grid())
 
 
 @pytest.fixture(scope="session")
 def grid_as_printed() -> VerificationReport:
     """The default grid checked once per session in as-printed mode."""
-    return verify_grid("as_printed")
+    return verify_grid("as_printed", default_grid())
 
 
 @st.composite

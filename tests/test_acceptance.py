@@ -39,7 +39,7 @@ def _pass(number: int, text: str) -> None:
 
 def test_criterion_1_demo_fixture(demo5_path):
     g = parse_edge_list(demo5_path.read_text())
-    bundle = compute_index_bundle(g)
+    bundle = compute_index_bundle(g, transmission_profile(g))
     assert bundle.s1 == 74
     assert bundle.s2 == 169
     assert bundle.s2_co == 60

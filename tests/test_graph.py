@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import io
 import pickle
 import re
 import shutil
@@ -341,6 +342,19 @@ class TestParseEdgeList:
         with pytest.raises(ParseError, match="^line 4: duplicate edge 1 0$"):
             parse_edge_list("0 1\n1 2\n2 3\n1 0\n2 1\n")
 
+    def test_duplicate_edge_is_named_from_where_the_parse_started(self, tmp_path):
+        # the caller has read two lines, one of them the edge "2 1", so
+        # the lines count from "n 3" and the repeat is the last "2 1"
+        text = "my preamble\n2 1\nn 3\n0 1\n1 2\n2 1\n"
+        path = tmp_path / "preamble.edges"
+        path.write_text(text)
+        with path.open() as handle:
+            for stream in (io.StringIO(text), handle):
+                stream.readline()
+                stream.readline()
+                with pytest.raises(ParseError, match="^line 4: duplicate edge 2 1$"):
+                    parse_edge_list(stream)
+
     def test_duplicate_far_from_its_edge_names_its_line(self):
         text = "".join(f"{i} {i + 1}\n" for i in range(10_000)) + "1 0\n"
         with pytest.raises(ParseError, match="^line 10001: duplicate edge 1 0$"):
@@ -575,6 +589,14 @@ class TestComplement:
     def test_complement_rows_match_the_oracle(self, g):
         rows = graph_module.complement_rows(g)
         assert tuple(map(tuple, rows)) == complement(g).adjacency
+
+    def test_complement_rows_refuse_above_the_edge_cap(self):
+        # C2002 has the fewest vertices of the cycles whose complement,
+        # 2002 * 2001 / 2 - 2002 edges, is above the cap
+        c2002 = Graph.from_edges(2002, [(v, (v + 1) % 2002) for v in range(2002)])
+        with pytest.raises(GraphError, match="^the complement has 2000999 edges, "
+                                             "more than the cap of 2000000$"):
+            graph_module.complement_rows(c2002)
 
 
 class TestTransmissionProfile:

@@ -211,7 +211,7 @@ class TestIndexBundle:
     @settings(max_examples=30, deadline=None)
     @given(random_graphs(max_n=9))
     def test_bundle_matches_oracle(self, g):
-        bundle = compute_index_bundle(g)
+        bundle = compute_index_bundle(g, transmission_profile(g))
         expected = oracle_indices(g.adjacency)
         for name in ("s1", "s2", "s1_co", "s2_co", "m1", "m2", "m1_co", "m2_co", "wiener"):
             value = getattr(bundle, name)
@@ -240,7 +240,7 @@ class TestIndexBundle:
         assert_packed_pass_equals_separate_sums(g)
 
     def test_single_edge(self):
-        bundle = compute_index_bundle(K2)
+        bundle = compute_index_bundle(K2, transmission_profile(K2))
         assert (bundle.s1, bundle.s2, bundle.s1_co, bundle.s2_co) == (2, 1, 0, 0)
 
     @pytest.mark.parametrize("g", [
@@ -276,7 +276,7 @@ def assert_identity_route_equals_direct_sums(g):
 
 class TestDiam2Formulas:
     def test_five_cycle_all_four(self):
-        d2 = diam2_coindex_formulas(C5)
+        d2 = diam2_coindex_formulas(C5, transmission_profile(C5))
         assert d2.s1_co_from_zagreb == 2 * 5 * 16 - 6 * 5 * 4 + 20 == 60
         assert d2.s1_co_from_zagreb_co == 2 * 4 * (20 - 10) - 20 == 60
         assert d2.s2_co_from_zagreb == 180
@@ -292,7 +292,7 @@ class TestDiam2Formulas:
 
     def test_rejects_large_diameter(self):
         with pytest.raises(ValueError, match="diameter"):
-            diam2_coindex_formulas(P4)
+            diam2_coindex_formulas(P4, transmission_profile(P4))
 
     @settings(max_examples=60, deadline=None)
     @given(random_graphs())
