@@ -232,17 +232,19 @@ def cmd_compute(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     from .families import generate
 
-    g = generate(_spec_from_args(args))
-    text = format_edge_list(g)
+    # The text is encoded once and written as those bytes to either
+    # target, so a file holds exactly what stdout gets, with no newline
+    # translation.
+    data = format_edge_list(generate(_spec_from_args(args))).encode()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(args.output, "wb") as handle:
+            handle.write(data)
     else:
         # Through the binary layer, retrying short writes: unbuffered, the
         # text layer drops what a closed pipe did not take, and no error shows.
-        data = memoryview(text.encode())
-        while data:
-            data = data[sys.stdout.buffer.write(data):]
+        view = memoryview(data)
+        while view:
+            view = view[sys.stdout.buffer.write(view):]
     return 0
 
 

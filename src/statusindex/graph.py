@@ -11,6 +11,7 @@ Wiener index never overflow or round.
 from __future__ import annotations
 
 import io
+from bisect import bisect_right
 from operator import lt
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -19,8 +20,8 @@ DEFAULT_MAX_VERTICES = 20_000
 
 #: Most edges ``generate`` builds, and most complement edges
 #: ``complement_rows`` lists. Building a graph and writing it as an edge
-#: list take about 155 bytes per edge, so this keeps ``generate`` near
-#: 300 MB; the vertex cap alone allows K20000, about 2 * 10^8 edges.
+#: list take about 70 bytes per edge, so this keeps ``generate`` near
+#: 140 MB; the vertex cap alone allows K20000, about 2 * 10^8 edges.
 MAX_EDGES = 2_000_000
 
 #: Sources per pass of the transmission engine. Each per-vertex bitset
@@ -326,10 +327,21 @@ def _vertex_id(token: str) -> int | None:
 def format_edge_list(g: Graph) -> str:
     """Canonical edge-list text: ``n <N>`` header, then edges sorted
     lexicographically. Identical graphs always serialize byte-for-byte
-    identically."""
+    identically.
+
+    Each vertex's name is written as text once. A vertex's upper row,
+    its neighbours above it, becomes all of its lines in one join, and
+    the rows are joined once, so the text is copied about twice, never
+    once per edge."""
+    names = list(map(str, range(g.n)))
     lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    for u, row in enumerate(g.adjacency):
+        upper = row[bisect_right(row, u):]
+        if upper:
+            prefix = names[u] + " "
+            lines.append(prefix + ("\n" + prefix).join(map(names.__getitem__, upper)))
+    lines.append("")  # the last line's end
+    return "\n".join(lines)
 
 
 def complement_rows(g: Graph) -> list[list[int]]:
@@ -362,12 +374,16 @@ def profile_from_rows(rows: Sequence[Sequence[int]]) -> TransmissionProfile:
     items become ``(v, row[0], row[1:])``. A distance d counts once at
     each level below d, so ``sigma[v]`` is the sum over the levels of
     the popcount of ``unreached[v]``; level 0 gives every vertex n - 1.
-    The diameter is the first level that leaves no source unreached. A
-    level that changes no set, or an unfinished vertex without
-    neighbours at the split, means the graph is disconnected. Sources
-    run in blocks of SOURCE_BLOCK to bound the bitset sizes.
+    The diameter is the first level that leaves no source unreached.
+    A vertex with no neighbours while others exist, found by one scan
+    before the first level, or a level that changes no set, means the
+    graph is disconnected, so every row split after level 2 has a first
+    entry. Sources run in blocks of SOURCE_BLOCK to bound the bitset
+    sizes.
     """
     n = len(rows)
+    if n > 1 and not all(rows):
+        raise DisconnectedGraphError(_DISCONNECTED)
     sigma = [n - 1] * n
     diameter = 0
     for lo in range(0, n, SOURCE_BLOCK):
@@ -399,11 +415,8 @@ def profile_from_rows(rows: Sequence[Sequence[int]]) -> TransmissionProfile:
             active = still
             if level == 2:
                 # Rows are split only here, so a graph of diameter at
-                # most 2 never copies one. An unfinished vertex without
-                # neighbours is an isolated vertex beside others.
-                active = [(v, row[0], row[1:]) for v, _, row in still if row]
-                if len(active) < len(still):
-                    raise DisconnectedGraphError(_DISCONNECTED)
+                # most 2 never copies one.
+                active = [(v, row[0], row[1:]) for v, _, row in still]
         diameter = max(diameter, level)
     # each distance is counted from both ends
     wiener = exact_div(sum(sigma), 2, "half the total transmission")

@@ -254,10 +254,11 @@ def _pairs(n: int) -> list[tuple[int, int]]:
 
 
 def _random_edges(
-    n: int, edge_probability: float, seed: int, pairs: list[tuple[int, int]]
+    n: int, edge_probability: float, rng: random.Random, pairs: list[tuple[int, int]]
 ) -> list[tuple[int, int]]:
-    """The sorted edges of the seeded connected random graph on ``n``
-    vertices; ``pairs`` lists the pairs u < v in lexicographic order.
+    """The sorted edges of the connected random graph on ``n`` vertices
+    that ``rng``, as seeded, draws; ``pairs`` lists the pairs u < v in
+    lexicographic order.
 
     Draws one ``rng.random()`` per pair, in ``pairs`` order, then one
     ``rng.choice`` per merge over the pairs that cross two components, in
@@ -267,7 +268,6 @@ def _random_edges(
     """
     if edge_probability >= 1:
         return list(pairs)
-    rng = random.Random(seed)
     draw = rng.random
     edges = [pair for pair in pairs if draw() < edge_probability]
     label = list(range(n))
@@ -298,7 +298,7 @@ def random_connected_graph(n: int, edge_probability: float, seed: int) -> Graph:
         raise ValueError(f"need n >= 2, got {n}")
     if not 0 < edge_probability <= 1:
         raise ValueError(f"edge probability must be in (0, 1], got {edge_probability}")
-    return Graph.from_edges(n, _random_edges(n, edge_probability, seed, _pairs(n)))
+    return Graph.from_edges(n, _random_edges(n, edge_probability, random.Random(seed), _pairs(n)))
 
 
 #: (n, edge probability) schedules for the seeded random corpora.
@@ -318,16 +318,20 @@ def random_corpus(
     coverage). Graph ``i`` is ``random_connected_graph(n, p, seed + i)``.
     Small graphs repeat often, so each distinct edge set is built and
     validated once and every graph that repeats it is the same object.
+    One generator is reseeded per graph, which gives the stream of a new
+    ``random.Random(seed + i)`` without building one.
     """
     ns = _DENSE_NS if dense else _MIXED_NS
     probs = _DENSE_PROBS if dense else _MIXED_PROBS
     pairs = {n: _pairs(n) for n in ns}
+    rng = random.Random()
     built: dict[tuple[int, tuple[tuple[int, int], ...]], Graph] = {}
     graphs = []
     for i in range(count):
         n = ns[i % len(ns)]
         probability = probs[(i // len(ns)) % len(probs)]
-        edges = _random_edges(n, probability, seed + i, pairs[n])
+        rng.seed(seed + i)
+        edges = _random_edges(n, probability, rng, pairs[n])
         key = (n, tuple(edges))
         g = built.get(key)
         if g is None:

@@ -291,3 +291,12 @@ def reference_parse(text: str) -> Graph:
         neighbours[u].append(v)
         neighbours[v].append(u)
     return Graph(n, tuple(tuple(sorted(row)) for row in neighbours))
+
+
+def reference_format_edge_list(g: Graph) -> str:
+    """Canonical edge-list text written one f-string per edge from
+    ``Graph.edges()``: the writer the library first had, which its
+    row-at-a-time writer must equal byte for byte."""
+    lines = [f"n {g.n}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"

@@ -298,6 +298,23 @@ class TestGenerate:
         run(capsys, "generate", "--family", "nanotorus", "--p", "4", "--q", "4", "-o", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_file_holds_the_stdout_bytes(self, capsys, tmp_path, monkeypatch):
+        # written in binary, so no platform's newline translation applies
+        argv = ("generate", "--family", "kneser", "--p", "5", "--k", "2")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        modes = []
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            modes.append(mode)
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        path = tmp_path / "petersen.edges"
+        assert run(capsys, *argv, "-o", str(path)) == (0, "", "")
+        assert modes == ["wb"]
+        assert path.read_bytes() == out.encode()
+
     def test_odd_nanotorus_rejected(self, capsys):
         code, _, err = run(capsys, "generate", "--family", "nanotorus", "--p", "3", "--q", "2")
         assert code == 2

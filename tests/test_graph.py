@@ -8,27 +8,32 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from statusindex import (
     DEFAULT_MAX_VERTICES,
     DisconnectedGraphError,
+    FamilyError,
+    FamilySpec,
     Graph,
     GraphError,
     ParseError,
     format_edge_list,
+    generate,
     parse_edge_list,
     transmission_profile,
 )
 from statusindex import graph as graph_module
 from statusindex.cli import _read_graph, main
+from statusindex.families import FAMILIES
 from statusindex.verify import demo_graph, random_connected_graph
 
 from conftest import long_graphs
-from oracles import complement, oracle_profile, reference_parse
+from oracles import complement, oracle_profile, reference_format_edge_list, reference_parse
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -562,6 +567,47 @@ class TestReadMemory:
         assert peak <= 1.1 * expected
 
 
+@st.composite
+def simple_graphs(draw, max_n=30):
+    """Strategy: any simple graph on 1..max_n vertices, K1, edgeless
+    graphs and isolated vertices included."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+class TestFormatEdgeList:
+    """The row-at-a-time writer against the per-edge reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=simple_graphs())
+    @example(g=Graph(1, ((),)))  # K1
+    @example(g=Graph(3, ((), (), ())))
+    @example(g=Graph.from_edges(4, [(1, 2)]))  # isolated first and last
+    @example(g=Graph.from_edges(5, [(0, 1), (3, 4)]))  # isolated in the middle
+    @example(g=Graph.from_edges(12, [(0, 11), (9, 10)]))  # names of two digits
+    def test_matches_the_reference(self, g):
+        assert format_edge_list(g) == reference_format_edge_list(g)
+
+    def test_every_family_matches_the_reference(self):
+        for kind, family in FAMILIES.items():
+            for params in product(range(1, 7), repeat=len(family.params)):
+                try:
+                    g = generate(FamilySpec(kind, params))
+                except FamilyError:  # an invalid spec, VertexCapError included
+                    continue
+                assert format_edge_list(g) == reference_format_edge_list(g), (kind, params)
+
+    def test_peak_stays_near_the_text(self):
+        # intersection(12,4): 495 vertices, 104,940 edges; one string per
+        # edge traced about 10.5 times the text's length
+        g = generate(FamilySpec.intersection(12, 4))
+        text, peak = traced_peak(format_edge_list, g)
+        assert text == reference_format_edge_list(g)
+        assert peak <= 3 * len(text)
+
+
 class TestComplement:
     def test_complete_graph_complement_is_empty(self):
         gbar = complement(K4)
@@ -661,7 +707,7 @@ class TestTransmissionProfile:
     @pytest.mark.parametrize("block", [7, graph_module.SOURCE_BLOCK])
     @pytest.mark.parametrize(("n", "edges"), [
         (50, [(v, v + 1) for v in range(19)] + [(v, v + 1) for v in range(20, 49)]),
-        (31, [(v, (v + 1) % 30) for v in range(30)]),  # vertex 30 is isolated
+        (31, [(v, (v + 1) % 30) for v in range(30)]),  # 30 is isolated: no level runs
     ], ids=["two-paths", "isolated-beside-a-cycle"])
     def test_disconnection_found_after_level_two(self, block, n, edges, monkeypatch):
         monkeypatch.setattr(graph_module, "SOURCE_BLOCK", block)
@@ -755,6 +801,23 @@ class TestTransmissionProfile:
         g = Graph.from_edges(31, zip(path, path[1:]))
         with pytest.raises(DisconnectedGraphError):
             transmission_profile(g)
+
+    @pytest.mark.parametrize("isolated", [0, 4, 9], ids=["first", "middle", "last"])
+    def test_isolated_vertex_rejected_before_the_first_level(self, isolated):
+        # the rest is K9, so no level would ever leave a set unchanged; the
+        # out-of-range neighbour 99 of the first other vertex would make
+        # the first level raise IndexError, so the scan runs before it
+        others = [v for v in range(10) if v != isolated]
+        rows = [[w for w in others if w != v] if v != isolated else [] for v in range(10)]
+        with pytest.raises(DisconnectedGraphError, match=re.escape(graph_module._DISCONNECTED)):
+            graph_module.profile_from_rows(rows)
+        rows[others[0]].append(99)
+        with pytest.raises(DisconnectedGraphError):
+            graph_module.profile_from_rows(rows)
+
+    def test_single_vertex_rows(self):
+        tp = graph_module.profile_from_rows([[]])
+        assert tp.sigma == (0,) and tp.diameter == 0
 
     def test_block_size_does_not_change_result(self, monkeypatch):
         g = random_connected_graph(40, 0.1, seed=5)
