@@ -4,9 +4,12 @@
 Usage, from anywhere in a source checkout:
 
     python3 scripts/record_bench.py --label my-change --parent ../parent-checkout
+    python3 scripts/record_bench.py --label my-change-seeds11-20 --seed 11 \
+        --parent ../parent-checkout --workload checks
 
 ``--parent`` is another source checkout, the commit the change is
-measured against. For each workload named in ``BENCHMARK.json`` the
+measured against. For each workload named in ``BENCHMARK.json`` (or
+only those named by ``--workload``, which may be repeated) the
 script runs PAIRS pairs of ``perfbench/run.py --trace 0``, one run of
 this checkout ("change") and one of the parent in each, on the seeds
 ``seed .. seed + PAIRS - 1`` (``--seed``, default 1). Each side runs its
@@ -121,6 +124,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--parent", type=Path, required=True,
                         help=f"source checkout to run against: {PAIRS} alternating pairs a workload")
+    parser.add_argument("--workload", action="append", metavar="NAME",
+                        help="run only this workload of BENCHMARK.json; repeatable, "
+                        "default every workload")
     args = parser.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9._-]+", args.label):
         parser.error(f"label {args.label!r} is not a plain file-name part")
@@ -128,6 +134,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"parent {str(args.parent)!r} has no perfbench/run.py")
 
     names, seconds, better = load_benchmark()
+    if args.workload:
+        unknown = sorted(set(args.workload) - set(names))
+        if unknown:
+            parser.error(f"no workload {', '.join(map(repr, unknown))} in BENCHMARK.json "
+                         f"(its workloads are {', '.join(names)})")
+        names = [name for name in names if name in args.workload]
     checkouts = {"change": ROOT, "parent": args.parent.resolve()}
     record: dict = {"label": args.label, "workloads": {}}
     ok = True

@@ -64,23 +64,41 @@ class Diam2Formulas(NamedTuple):
     s2_co_from_zagreb_co: int
 
 
+#: Graphs on fewer vertices take plain loops in ``edge_sums`` and
+#: ``nonedge_sums``, where the per-call setup of the gather and of the
+#: bit planes costs more than it saves. On connected random graphs with
+#: the transmissions as weights, the non-edge loop is ahead up to n = 19
+#: and even or behind from n = 20 at edge probability 0.8; the edge loop
+#: is ahead past n = 26.
+SMALL_GRAPH = 20
+
+
 def edge_sums(rows: Sequence[Sequence[int]], weights: Sequence[int]) -> tuple[int, int]:
     """(sum of w_u + w_v, sum of w_u * w_v) over the edges uv of the
     graph whose vertex ``u`` has the neighbours ``rows[u]``.
 
     Summed row by row: the first sum is sum of deg(u) * w_u, and the
-    second counts each edge from both ends, so it is halved. A row's
-    weights are gathered by one ``itemgetter`` call on ``weights`` padded
-    with a 0, whose index is passed twice so that a row of zero or one
-    entries still gets a tuple.
+    second counts each edge from both ends, so it is halved. Below
+    ``SMALL_GRAPH`` vertices a row's weights are added one neighbour at a
+    time; from there on, they are gathered by one ``itemgetter`` call on
+    ``weights`` padded with a 0, whose index is passed twice so that a
+    row of zero or one entries still gets a tuple.
     """
-    padded = (*weights, 0)
-    pad = len(weights)
     total = 0
     doubled = 0
-    for w, row in zip(weights, rows):
-        total += len(row) * w
-        doubled += w * sum(itemgetter(pad, pad, *row)(padded))
+    if len(rows) < SMALL_GRAPH:
+        for w, row in zip(weights, rows):
+            total += len(row) * w
+            near = 0
+            for v in row:
+                near += weights[v]
+            doubled += w * near
+    else:
+        padded = (*weights, 0)
+        pad = len(weights)
+        for w, row in zip(weights, rows):
+            total += len(row) * w
+            doubled += w * sum(itemgetter(pad, pad, *row)(padded))
     return total, exact_div(doubled, 2, "half the edge product sum counted from both ends")
 
 
@@ -93,10 +111,25 @@ def nonedge_sums(rows: Sequence[Sequence[int]], weights: Sequence[int]) -> tuple
     ``2^j`` per vertex of ``free`` in plane j, the vertices whose
     ``w_v - base`` has bit j set (``base`` is the least weight). Costs
     O(m) steps for the masks, O(n) per plane to build it and one popcount
-    per row and plane; equal weights give no planes. Uses nothing of the
-    identities.
+    per row and plane; equal weights give no planes. Below ``SMALL_GRAPH``
+    vertices the pairs u < v with v not in ``rows[u]`` are walked one by
+    one instead. Uses nothing of the identities.
     """
-    bit = [1 << v for v in range(len(rows))]
+    n = len(rows)
+    if n < SMALL_GRAPH:
+        total = 0
+        product = 0
+        for u, (w, row) in enumerate(zip(weights, rows)):
+            count = 0
+            weight = 0
+            for v in range(u + 1, n):
+                if v not in row:
+                    count += 1
+                    weight += weights[v]
+            total += w * count + weight
+            product += w * weight
+        return total, product
+    bit = [1 << v for v in range(n)]
     base = min(weights, default=0)
     planes = [0] * (max(weights, default=0) - base).bit_length()
     for b, w in zip(bit, weights):
@@ -104,7 +137,7 @@ def nonedge_sums(rows: Sequence[Sequence[int]], weights: Sequence[int]) -> tuple
         for j in range(w.bit_length()):
             if w >> j & 1:
                 planes[j] |= b
-    above = (1 << len(rows)) - 1
+    above = (1 << n) - 1
     total = 0
     product = 0
     for b, w, row in zip(bit, weights, rows):

@@ -9,6 +9,7 @@ a hard failure too.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -132,13 +133,14 @@ class VerificationReport(Value):
         )
 
     def summary(self) -> dict[str, int]:
+        """Cases, passes, registered errata and hard failures, from one
+        count of the (match, registered_erratum) pairs."""
+        counts = Counter(map(attrgetter("match", "registered_erratum"), self.cases))
         return {
             "cases": len(self.cases),
-            "passed": sum(c.match for c in self.cases),
-            "registered_errata": sum(
-                not c.match and c.registered_erratum for c in self.cases
-            ),
-            "hard_failures": sum(c.hard_failure for c in self.cases),
+            "passed": counts[True, False] + counts[True, True],
+            "registered_errata": counts[False, True],
+            "hard_failures": counts[False, False],
         }
 
     @property

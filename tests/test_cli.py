@@ -904,7 +904,7 @@ def oracle_report_json(report: VerificationReport, skipped=()) -> str:
 def written_report_json(report: VerificationReport, skipped=()) -> str:
     buffer = io.StringIO()
     with redirect_stdout(buffer):
-        cli._write_report_json(report, skipped)
+        cli._write_report_json(report, report.summary(), skipped)
     return buffer.getvalue()
 
 
@@ -915,7 +915,11 @@ EDGE_INTEGERS = (0, SAFE, -SAFE, SAFE + 1, -SAFE - 1, 2 ** 80, -(2 ** 80))
 EDGE_TEXTS = ("", '"', "\\", "\x00\x1f\n\t", "K\u2084 \u2014 \u00e9", "\ud800", "\u2028")
 
 report_integers = st.one_of(st.sampled_from(EDGE_INTEGERS), st.integers(-(2 ** 80), 2 ** 80))
-report_texts = st.one_of(st.sampled_from(EDGE_TEXTS), st.text(max_size=12))
+#: Texts with ``%``, which the row writer must not read as a format
+#: directive.
+PERCENT_TEXTS = ("%", "%s", "%%", "%(case)s", "100% %d")
+
+report_texts = st.one_of(st.sampled_from(EDGE_TEXTS + PERCENT_TEXTS), st.text(max_size=12))
 report_cases = st.builds(
     VerificationCase,
     case_id=report_texts, index_name=report_texts, oracle=report_integers,
@@ -925,12 +929,22 @@ report_cases = st.builds(
 report_skipped = st.lists(report_texts, max_size=4)
 
 
+@st.composite
+def report_case_lists(draw):
+    """One to six cases, then copies of some that differ only in case id."""
+    cases = draw(st.lists(report_cases, min_size=1, max_size=6))
+    copies = draw(st.lists(st.tuples(st.sampled_from(cases), report_texts), max_size=8))
+    return cases + [case._replace(case_id=case_id) for case, case_id in copies]
+
+
 class TestReportJson:
     @settings(max_examples=100, deadline=None)
-    @given(cases=st.lists(report_cases, min_size=1, max_size=6), skipped=report_skipped,
-           rows_per_write=st.integers(1, 5))
+    @given(cases=report_case_lists(), skipped=report_skipped, rows_per_write=st.integers(1, 5))
     @example(cases=[VerificationCase("a", "s1", 2 ** 53, -(2 ** 53), "corrected", False)],
              skipped=[], rows_per_write=1)
+    @example(cases=[VerificationCase(case_id, "%s", 1, 2, "%%", True, False, "%(case)s %d")
+                    for case_id in ("b", "%s", "a", "%", "b")],
+             skipped=["%s"], rows_per_write=2)
     def test_matches_json_dumps(self, cases, skipped, rows_per_write):
         report = VerificationReport(cases=cases)
         with mock.patch.object(cli, "_ROWS_PER_WRITE", rows_per_write):
@@ -944,6 +958,17 @@ class TestReportJson:
         ])
         for skipped in ([], [text, "kneser(p=4, k=2)"]):
             assert written_report_json(report, skipped) == oracle_report_json(report, skipped)
+
+    @pytest.mark.parametrize("text", EDGE_TEXTS + PERCENT_TEXTS)
+    def test_rows_that_differ_only_in_case_id(self, text):
+        # rows equal but for the case id share the rest of their row; the
+        # case id and every other text take escapes and % signs
+        rows = [VerificationCase(case_id, text, 2 ** 60, -7, text, False, True, text + "%")
+                for case_id in (text, "%s", "a", text + "%", "a")]
+        others = [row._replace(note=text, match=True) for row in rows[:3]]
+        report = VerificationReport(cases=rows + others)
+        with mock.patch.object(cli, "_ROWS_PER_WRITE", 3):
+            assert written_report_json(report, [text]) == oracle_report_json(report, [text])
 
     def test_random_suite_command(self, capsys):
         code, out, _ = run(capsys, "verify", "--json", "--family", "random",

@@ -24,7 +24,7 @@ from statusindex import (
 )
 from statusindex import FamilySpec, closed_forms, generate, indices
 from statusindex.graph import exact_div
-from statusindex.indices import coindex_identity
+from statusindex.indices import SMALL_GRAPH, coindex_identity
 from statusindex.verify import demo_graph, random_connected_graph
 
 from conftest import long_graphs
@@ -63,8 +63,10 @@ class TestEdgeSums:
         assert edge_sums(P3.adjacency, (1, 2, 3)) == (8, 8)
 
     def test_asymmetric_rows_break_the_halving(self):
-        with pytest.raises(ArithmeticError, match="both ends"):
-            edge_sums(((1,), ()), (1, 1))
+        # the loop below SMALL_GRAPH vertices and the gather from it on
+        for n in (2, SMALL_GRAPH - 1, SMALL_GRAPH, 2 * SMALL_GRAPH):
+            with pytest.raises(ArithmeticError, match="both ends"):
+                edge_sums(((1,), *[()] * (n - 1)), [1] * n)
         # every exact division in the package, closed forms included, is
         # this one helper, and a remainder is a broken invariant
         assert closed_forms.exact_div is indices.exact_div is exact_div
@@ -75,11 +77,15 @@ class TestEdgeSums:
 
 @st.composite
 def weighted_graphs(draw):
-    """Graphs on 1..12 vertices, connected or not, with one weight per
-    vertex: arbitrary up to 2^70 in size, all equal, or all zero."""
-    n = draw(st.integers(1, 12))
+    """Graphs on 1..2 * SMALL_GRAPH vertices, so on both sides of the
+    plain loops' cut, connected or not, sparse or the complement of a
+    sparse graph, with one weight per vertex: arbitrary up to 2^70 in
+    size, all equal, or all zero."""
+    n = draw(st.integers(1, 2 * SMALL_GRAPH))
     pairs = list(combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if draw(st.booleans()):
+        edges = sorted(set(pairs) - set(edges))
     weight = st.one_of(st.integers(0, 3), st.integers(-(2**70), 2**70))
     weights = draw(
         st.one_of(
@@ -103,6 +109,28 @@ class TestEdgeSumsOnAnyWeights:
         assert edge_sums(K1.adjacency, (2**70,)) == (0, 0)
         assert edge_sums(K2.adjacency, (3, -(2**70))) == (3 - 2**70, -3 * 2**70)
         assert edge_sums(((1,), (0,), ()), (5, 7, 11)) == (12, 35)
+
+
+def graphs_at_the_cut():
+    """Graphs on SMALL_GRAPH - 1 and SMALL_GRAPH vertices, the last that
+    takes the plain loops and the first that does not: sparse and dense
+    connected ones with weights of both signs up to 2^70, and one with
+    an isolated vertex and a one-entry row."""
+    weighted = []
+    for n in (SMALL_GRAPH - 1, SMALL_GRAPH):
+        for p, seed in ((0.15, 1), (0.5, 2), (0.9, 3)):
+            rows = random_connected_graph(n, p, seed).adjacency
+            weighted.append((rows, [(-1) ** v * (2**70 - 7 * v * v) for v in range(n)]))
+            weighted.append((rows, [len(row) for row in rows]))
+        rows = Graph.from_edges(n, [(v, v + 1) for v in range(n - 2)]).adjacency
+        weighted.append((rows, [3 * v - n for v in range(n)]))
+    return weighted
+
+
+@pytest.mark.parametrize("rows, weights", graphs_at_the_cut())
+def test_sums_on_both_sides_of_the_cut(rows, weights):
+    assert edge_sums(rows, weights) == oracle_edge_sums(rows, weights)
+    assert nonedge_sums(rows, weights) == oracle_nonedge_sums(rows, weights)
 
 
 class TestNonedgeSums:

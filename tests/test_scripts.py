@@ -157,6 +157,44 @@ def test_record_bench_runs_alternating_pairs_against_a_parent(tmp_path, monkeypa
     assert {seconds for *_, seconds in calls} == {BENCHMARK["run_seconds"]}
 
 
+def test_record_bench_runs_only_the_named_workloads(tmp_path, monkeypatch):
+    record_bench = load_record_bench()
+    parent = fake_parent(tmp_path)
+    calls = []
+
+    def fake_run(checkout, name, seed, seconds):
+        calls.append(name)
+        return record_bench.parse_run_output(run_output(3.0, 40.0))
+
+    monkeypatch.setattr(record_bench, "ROOT", tmp_path)
+    monkeypatch.setattr(record_bench, "run_once", fake_run)
+    names = [workload["name"] for workload in BENCHMARK["workloads"]]
+    last, first = names[-1], names[0]
+    argv = ["--label", "t", "--parent", str(parent),
+            "--workload", last, "--workload", first, "--workload", last]
+    assert record_bench.main(argv) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    assert sorted(record["workloads"]) == sorted([first, last])
+    # in BENCHMARK.json's order, each once however often it is named
+    pairs = record_bench.PAIRS
+    assert calls == [first] * 2 * pairs + [last] * 2 * pairs
+
+
+def test_record_bench_rejects_an_unknown_workload(tmp_path, monkeypatch, capsys):
+    record_bench = load_record_bench()
+    parent = fake_parent(tmp_path)
+    calls = []
+    monkeypatch.setattr(record_bench, "ROOT", tmp_path)
+    monkeypatch.setattr(record_bench, "run_once", lambda *args: calls.append(args))
+    argv = ["--label", "t", "--parent", str(parent), "--workload", "checks", "--workload", "nope"]
+    with pytest.raises(SystemExit) as exit_info:
+        record_bench.main(argv)
+    assert exit_info.value.code == 2
+    assert "no workload 'nope' in BENCHMARK.json" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "BENCH_t.json").exists()
+
+
 @pytest.mark.parametrize("extra", [[], ["--parent", "PARENT", "--seconds", "5"]])
 def test_record_bench_runs_nothing_without_a_parent_or_with_seconds(tmp_path, monkeypatch, extra):
     # one mode only: a change against its parent, for BENCHMARK.json's run length
